@@ -5,21 +5,17 @@
 // document the sim/realtime ratio.
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
-#include <string>
-#include <vector>
+#include <limits>
+#include <span>
 
 #include "core/controller.hpp"
 #include "ehsim/circuit.hpp"
 #include "ehsim/rk23.hpp"
 #include "ehsim/solar_cell.hpp"
-#include "ehsim/solar_cell_simd.hpp"
 #include "ehsim/sources.hpp"
 #include "hw/monitor.hpp"
 #include "sim/experiment.hpp"
-#include "sweep/assets.hpp"
 #include "sweep/registry.hpp"
-#include "sweep/scenario.hpp"
 
 namespace {
 
@@ -56,32 +52,6 @@ void BM_SolarCellNewtonSolveWarmSeed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolarCellNewtonSolveWarmSeed);
-
-void BM_NewtonSolveSimd(benchmark::State& state) {
-  // Eight packed Newton lanes per iteration, through the same entry point
-  // the batched stepper uses (two width-4 chunks on x86-64). Per-solve
-  // cost = cpu_time / 8; compare against BM_SolarCellNewtonSolve, which
-  // times one scalar solve. The spread of operating points keeps the
-  // lockstep loop running as long as the slowest lane, as it does in a
-  // real batch.
-  const auto cell = sim::paper_pv_array();
-  std::vector<ehsim::NewtonLane> lanes;
-  for (double v : {4.1, 4.6, 5.0, 5.3, 5.6, 5.9, 6.2, 6.5})
-    lanes.push_back({&cell, v, cell.photo_current(850.0),
-                     cell.photo_current(850.0)});
-  double out[8];
-  std::uint32_t iters[8];
-  double dv = 0.0;
-  for (auto _ : state) {
-    for (auto& ln : lanes) ln.v += dv;
-    benchmark::DoNotOptimize(
-        ehsim::newton_current_batch(lanes, out, iters));
-    benchmark::DoNotOptimize(out[0]);
-    dv = (dv == 0.0) ? 0.01 : -dv;  // wobble, stay in range
-  }
-  state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_NewtonSolveSimd);
 
 void BM_PvSourceExactRepeatedPoint(benchmark::State& state) {
   // The memo path: the co-simulation loop re-evaluates the source at the
@@ -336,45 +306,6 @@ void bench_quiescent_hour(benchmark::State& state, bool coast) {
     benchmark::DoNotOptimize(r.metrics.instructions);
   }
 }
-
-/// One batched window: `width` midday solar scenarios stepped in lockstep
-/// under the given integrator kind, through the same run_scenarios_batched
-/// entry the sweep runner uses.
-void bench_step_window(benchmark::State& state, const char* kind,
-                       std::size_t width) {
-  std::vector<sweep::ScenarioSpec> specs(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    auto& s = specs[i];
-    s.label = "bench-lane-" + std::to_string(i);
-    s.condition = trace::WeatherCondition::kPartialSun;
-    s.t_start = 12.0 * 3600.0 + 7.0 * static_cast<double>(i);
-    s.t_end = s.t_start + 30.0;
-    s.seed = 0xBE7C4ull + i;
-    s.record_series = false;
-    s.integrator = sweep::IntegratorSpec::parse(
-        std::string(kind) + ":width=" + std::to_string(width));
-  }
-  sweep::ScenarioAssets assets;
-  for (auto _ : state) {
-    const auto outcomes =
-        sweep::run_scenarios_batched(specs.data(), specs.size(), assets);
-    benchmark::DoNotOptimize(outcomes.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(width));
-}
-
-void BM_StepWindowSimd(benchmark::State& state) {
-  bench_step_window(state, "rk23simd", 4);
-}
-BENCHMARK(BM_StepWindowSimd)->Unit(benchmark::kMillisecond);
-
-void BM_StepWindowBatchScalar(benchmark::State& state) {
-  // The scalar lockstep engine on the identical window: the denominator
-  // of the packed kernels' speedup at micro-bench granularity.
-  bench_step_window(state, "rk23batch", 4);
-}
-BENCHMARK(BM_StepWindowBatchScalar)->Unit(benchmark::kMillisecond);
 
 void BM_CoastingQuiescentHour(benchmark::State& state) {
   bench_quiescent_hour(state, /*coast=*/true);

@@ -29,8 +29,6 @@ import sys
 WATCHED = [
     "BM_Rk23SecondOfCircuit",
     "BM_Rk23PiSecondOfCircuit",
-    "BM_NewtonSolveSimd",
-    "BM_StepWindowSimd",
     "BM_EndToEndSimulatedMinute",
     "BM_EndToEndSimulatedMinuteTabulated",
     "BM_EndToEndSimulatedMinuteRk23Pi",
@@ -68,7 +66,7 @@ def compare_sweep_section(fresh, baseline, threshold, section):
     Used for "table2" and "table2_biglittle" (the 2-domain platform
     trajectory added in BENCH_9). The key set is learned from the
     reports themselves, so a newly added integrator entry (e.g.
-    `rk23batch` in BENCH_8) or a whole new section shows up as `new`
+    `rk23pi` in BENCH_5) or a whole new section shows up as `new`
     the first time -- informational, never a warning -- and is tracked
     automatically once a baseline containing it is checked in. Keys the
     baseline has but the fresh report lost are flagged: a silently

@@ -27,17 +27,6 @@ double EhCircuit::net_current(double v, double t) const {
          cap_.leakage_current(v);
 }
 
-double EhCircuit::derivative_with_source(double t, double v,
-                                         double i_source) const {
-  // Mirrors derivatives()/net_current() term for term (same association
-  // order), with the source term already evaluated.
-  const double net =
-      i_source - load_->current(v, t) - cap_.leakage_current(v);
-  double dv = net / cap_.capacitance;
-  if (v <= 0.0 && dv < 0.0) dv = 0.0;
-  return dv;
-}
-
 double EhCircuit::time_invariant_until(double t) const {
   return std::min(source_->constant_until(t), load_->constant_until(t));
 }

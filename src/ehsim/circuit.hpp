@@ -30,18 +30,8 @@ class EhCircuit : public OdeSystem {
 
   const Capacitor& capacitor() const { return cap_; }
 
-  /// The harvester feeding the node (borrowed at construction).
-  const CurrentSource& source() const { return *source_; }
-
   /// Net current into the node at voltage v, time t (A).
   double net_current(double v, double t) const;
-
-  /// derivatives() with the source current supplied by the caller: the
-  /// batched SIMD path (ehsim/solar_cell_simd.hpp) evaluates the PV
-  /// solves packed across lanes and feeds each lane's current back
-  /// through here. Must stay bit-identical to derivatives() when
-  /// `i_source == source().current(v, t)`.
-  double derivative_with_source(double t, double v, double i_source) const;
 
   /// Latest time T >= t such that the whole right-hand side is provably
   /// time-invariant on [t, T]: the minimum of the source's and the load's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "ehsim/dense_output.hpp"
 #include "util/contracts.hpp"
@@ -79,18 +78,8 @@ double Rk23Integrator::initial_step_guess(double t_end) const {
 IntegrationResult Rk23Integrator::advance(double t_end,
                                           std::span<const EventSpec> events) {
   IntegrationResult result;
-  if (!begin_window(t_end, events, result)) return result;
-  while (step_window(result)) {
-  }
-  return result;
-}
-
-bool Rk23Integrator::begin_window(double t_end,
-                                  std::span<const EventSpec> events,
-                                  IntegrationResult& result) {
-  result = {};
   result.t = t_;
-  if (t_end <= t_) return false;
+  if (t_end <= t_) return result;
 
   if (g_prev_.size() < events.size()) {
     g_prev_.resize(events.size());
@@ -106,16 +95,9 @@ bool Rk23Integrator::begin_window(double t_end,
   for (std::size_t e = 0; e < events.size(); ++e)
     g_prev_[e] = events[e].eval(t_, y_);
 
-  win_t_end_ = t_end;
-  win_events_ = events;
-  win_steps_ = 0;
-  return true;
-}
-
-bool Rk23Integrator::step_window(IntegrationResult& result) {
-  const double t_end = win_t_end_;
-  if (t_ < t_end) {
-    PNS_ENSURES(++win_steps_ <= opt_.max_steps_per_call);
+  std::size_t steps_this_call = 0;
+  while (t_ < t_end) {
+    PNS_ENSURES(++steps_this_call <= opt_.max_steps_per_call);
 
     const double h_limit = std::min(h_, opt_.max_step);
     double h = std::min(h_limit, t_end - t_);
@@ -151,61 +133,14 @@ bool Rk23Integrator::step_window(IntegrationResult& result) {
     const double err =
         error_norm(yerr_, y_, ynew_, opt_.rel_tol, opt_.abs_tol);
 
-    return finish_attempt(h, end_capped, h_limit, err, result);
-  }
-
-  result.t = t_;
-  return false;
-}
-
-bool Rk23Integrator::attempt_open(Rk23StepAttempt& at,
-                                  IntegrationResult& result) {
-  PNS_EXPECTS(y_.size() == 1);
-  if (t_ < win_t_end_) {
-    PNS_ENSURES(++win_steps_ <= opt_.max_steps_per_call);
-
-    const double h_limit = std::min(h_, opt_.max_step);
-    double h = std::min(h_limit, win_t_end_ - t_);
-    const bool end_capped = h < h_limit;
-    h = std::max(h, opt_.min_step);
-
-    at.t = t_;
-    at.y = y_[0];
-    at.h = h;
-    at.k1 = f0_[0];
-    at.end_capped = end_capped;
-    at.h_limit = h_limit;
-    return true;
-  }
-
-  result.t = t_;
-  return false;
-}
-
-bool Rk23Integrator::attempt_close(const Rk23StepAttempt& at,
-                                   IntegrationResult& result) {
-  k1_[0] = at.k1;
-  k2_[0] = at.k2;
-  k3_[0] = at.k3;
-  k4_[0] = at.k4;
-  ynew_[0] = at.ynew;
-  yerr_[0] = at.yerr;
-  return finish_attempt(at.h, at.end_capped, at.h_limit, at.err, result);
-}
-
-bool Rk23Integrator::finish_attempt(double h, bool end_capped,
-                                    double h_limit, double err,
-                                    IntegrationResult& result) {
-  const std::span<const EventSpec> events = win_events_;
-  if (err > 1.0 && h > opt_.min_step) {
-    ++total_rejected_;
-    ++result.rejected_steps;
-    h_ = h * (opt_.step_control == StepControl::kPi
-                  ? pi_.on_rejected(err)
-                  : std::max(0.2, 0.9 * std::pow(err, -1.0 / 3.0)));
-    return true;
-  }
-  {
+    if (err > 1.0 && h > opt_.min_step) {
+      ++total_rejected_;
+      ++result.rejected_steps;
+      h_ = h * (opt_.step_control == StepControl::kPi
+                    ? pi_.on_rejected(err)
+                    : std::max(0.2, 0.9 * std::pow(err, -1.0 / 3.0)));
+      continue;
+    }
 
     // Accept the step.
     step_t0_ = t_;
@@ -303,7 +238,7 @@ bool Rk23Integrator::finish_attempt(double h, bool end_capped,
       have_f0_ = false;  // state changed off the step grid
       // A dense-output root sits on the crossed side of the *cubic*, but
       // mapping s -> t -> s through interpolate() can land the committed
-      // state an ulp short of the threshold. Left there, the next window
+      // state an ulp short of the threshold. Left there, the next advance()
       // re-arms the same event on the un-crossed baseline and fires it at
       // the same instant forever (the crossing now sits at s = 0, where
       // t0 + s*h rounds back to t0 and the trajectory never advances).
@@ -325,19 +260,14 @@ bool Rk23Integrator::finish_attempt(double h, bool end_capped,
       result.t = t_;
       result.event_fired = true;
       result.event_tag = earliest_tag;
-      return false;
+      return result;
     }
 
     std::swap(g_prev_, g_curr_);
-    return true;
   }
-}
 
-double Rk23Integrator::min_event_margin() const {
-  double m = std::numeric_limits<double>::infinity();
-  for (std::size_t e = 0; e < win_events_.size(); ++e)
-    m = std::min(m, std::abs(g_prev_[e]));
-  return m;
+  result.t = t_;
+  return result;
 }
 
 void Rk23Integrator::interpolate(double t, std::span<double> y_out) const {

@@ -50,27 +50,6 @@ struct Rk23Options {
   EventLocalization event_localization = EventLocalization::kBisection;
 };
 
-/// One staged step attempt of an open window, used by the batched SIMD
-/// stepper (ehsim/rk23_batch): attempt_open() runs step_window()'s
-/// prologue (step-size choice, runaway guard) and exposes the stage
-/// inputs; the caller evaluates the four RK stages and the scaled error
-/// norm -- packed across lanes, with the exact scalar arithmetic -- and
-/// attempt_close() feeds them back into the accept/reject epilogue.
-struct Rk23StepAttempt {
-  // Filled by attempt_open():
-  double t = 0.0;   ///< time at the start of the attempt
-  double y = 0.0;   ///< state at the start of the attempt
-  double h = 0.0;   ///< step size of this attempt
-  double k1 = 0.0;  ///< FSAL stage: derivative at (t, y)
-  bool end_capped = false;  ///< h shortened only to land on t_end
-  double h_limit = 0.0;     ///< min(h_, max_step) before the end cap
-  // Filled by the caller before attempt_close():
-  double k2 = 0.0, k3 = 0.0, k4 = 0.0;
-  double ynew = 0.0;  ///< 3rd-order solution at t + h
-  double yerr = 0.0;  ///< embedded 2nd-order error estimate
-  double err = 0.0;   ///< scaled error norm of yerr
-};
-
 /// Single-trajectory adaptive integrator. Typical use:
 ///
 ///   Rk23Integrator ig(system, opts);
@@ -92,57 +71,10 @@ class Rk23Integrator {
   double time() const { return t_; }
   std::span<const double> state() const { return y_; }
 
-  /// Step-size hint the next step attempt will start from.
-  double step_size() const { return h_; }
-  /// Whether the FSAL derivative cache is valid for (time(), state()).
-  bool have_fsal() const { return have_f0_; }
-  /// FSAL derivative of component `i`; meaningful only while have_fsal().
-  double fsal_derivative(std::size_t i = 0) const { return f0_[i]; }
-  /// Smallest |g| across the open window's events at the last event
-  /// baseline -- how close the trajectory sits to its nearest watched
-  /// threshold. +infinity when the window watches no events.
-  double min_event_margin() const;
-
   /// Integrates forward until `t_end` or until the first event root,
   /// whichever comes first. Events are tested on every accepted step.
-  /// Equivalent to begin_window() + step_window() until completion.
   IntegrationResult advance(double t_end,
                             std::span<const EventSpec> events = {});
-
-  /// Incremental form of advance() for callers that interleave several
-  /// trajectories (sim/batch_engine): begin_window() performs advance()'s
-  /// prologue -- FSAL ensure, initial step guess, event baseline -- without
-  /// taking a step, writes the trivial result into `result`, and returns
-  /// true when there is integration work to do (false when t_end <=
-  /// time(), matching advance()'s early return). The events storage must
-  /// outlive the window.
-  bool begin_window(double t_end, std::span<const EventSpec> events,
-                    IntegrationResult& result);
-
-  /// Attempts exactly one step of the open window: one rejected trial or
-  /// one accepted step (with event scan and possible rewind), accumulating
-  /// into the same `result` given to begin_window(). Returns true while
-  /// the window is still open; false once it completed -- `result` then
-  /// equals what advance() would have returned. The interleaved sequence
-  /// of FP operations per trajectory is identical to advance()'s, so a
-  /// window-stepped run is bit-identical to a plain advance().
-  bool step_window(IntegrationResult& result);
-
-  /// Split form of step_window() for the batched SIMD stepper: performs
-  /// the prologue and fills the attempt's inputs. Returns false (and
-  /// completes `result`) when the window is already done -- exactly when
-  /// step_window() would have returned false without attempting a step.
-  /// Only dimension-1 systems are supported (the batched engine
-  /// integrates the single-node circuit).
-  bool attempt_open(Rk23StepAttempt& at, IntegrationResult& result);
-
-  /// Completes the attempt: accept/reject, step-size control, event scan
-  /// and possible rewind. Same return convention as step_window(). The
-  /// caller must have filled k2..k4/ynew/yerr/err with values
-  /// bit-identical to what step_window() would have computed; the
-  /// epilogue is the very same code (finish_attempt), so the resulting
-  /// trajectory is bit-identical too.
-  bool attempt_close(const Rk23StepAttempt& at, IntegrationResult& result);
 
   const Rk23Options& options() const { return opt_; }
 
@@ -173,12 +105,6 @@ class Rk23Integrator {
 
   double initial_step_guess(double t_end) const;
 
-  /// Shared epilogue of step_window()/attempt_close(): reject (with
-  /// step-size cut) or accept (commit, FSAL, step growth, event scan and
-  /// rewind). Reads the stage buffers k1_..k4_/ynew_/yerr_.
-  bool finish_attempt(double h, bool end_capped, double h_limit, double err,
-                      IntegrationResult& result);
-
   const OdeSystem* system_;
   Rk23Options opt_;
 
@@ -202,11 +128,6 @@ class Rk23Integrator {
   PiStepController pi_;  // used only in StepControl::kPi
   std::size_t total_steps_ = 0;
   std::size_t total_rejected_ = 0;
-
-  // Open stepping window (begin_window/step_window).
-  double win_t_end_ = 0.0;
-  std::span<const EventSpec> win_events_{};
-  std::size_t win_steps_ = 0;  // runaway guard, counts attempted steps
 };
 
 }  // namespace pns::ehsim

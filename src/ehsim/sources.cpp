@@ -28,68 +28,35 @@ PvSource::PvSource(SolarCell cell, std::function<double(double)> irradiance,
 }
 
 double PvSource::current(double v, double t) const {
-  // current() is the plan executed inline, so the scalar path and the
-  // batched kernel path (plan -> packed solve -> commit) share one copy
-  // of the classification, seeding and cache logic -- they cannot drift.
-  const SolvePlan plan = plan_current(v, t);
-  switch (plan.path) {
-    case SolvePlan::Path::kMemo:
-      return plan.value;
-    case SolvePlan::Path::kTable:
-      return table_->current(plan.v, plan.g);
-    case SolvePlan::Path::kNewton:
-      break;
-  }
-  std::uint32_t iters = 0;
-  const double i =
-      cell_.current_from_photo_counted(plan.v, plan.il, plan.seed, &iters);
-  commit_newton(plan, i, iters, /*packed=*/false);
-  return i;
-}
-
-PvSource::SolvePlan PvSource::plan_current(double v, double t) const {
   ++stats_.calls;
-  SolvePlan plan;
-  plan.v = v;
-  plan.g = irradiance_(t);
-  if (table_ && table_->covers(v, plan.g)) {
+  const double g = irradiance_(t);
+  if (table_ && table_->covers(v, g)) {
     ++stats_.table_hits;
-    plan.path = SolvePlan::Path::kTable;
-    return plan;
+    return table_->current(v, g);
   }
 
-  plan.il = cell_.photo_current(plan.g);
-  if (solve_cache_.valid && v == solve_cache_.v &&
-      plan.il == solve_cache_.il) {
+  const double il = cell_.photo_current(g);
+  if (solve_cache_.valid && v == solve_cache_.v && il == solve_cache_.il) {
     ++stats_.memo_hits;
-    plan.path = SolvePlan::Path::kMemo;
-    plan.value = solve_cache_.i;
-    return plan;
+    return solve_cache_.i;
   }
 
-  plan.path = SolvePlan::Path::kNewton;
+  // Start at the photo-current (see SolarCell::current_from_photo).
+  double seed = il;
   if (table_ && solve_cache_.valid &&
       std::abs(v - solve_cache_.v) < kWarmStartDeltaV &&
-      std::abs(plan.il - solve_cache_.il) < kWarmStartDeltaIl) {
+      std::abs(il - solve_cache_.il) < kWarmStartDeltaIl) {
     // Off-table fallback in tabulated mode: the exact-reproducibility
     // contract is already relaxed, so warm-start the Newton iteration.
-    plan.seed = solve_cache_.i;
-    plan.warm = true;
-  } else {
-    // Start at the photo-current (see SolarCell::current_from_photo).
-    plan.seed = plan.il;
+    seed = solve_cache_.i;
+    ++stats_.warm_starts;
   }
-  return plan;
-}
-
-void PvSource::commit_newton(const SolvePlan& plan, double i,
-                             std::uint32_t iters, bool packed) const {
-  PNS_EXPECTS(plan.path == SolvePlan::Path::kNewton);
+  std::uint32_t iters = 0;
+  const double i = cell_.current_from_photo_counted(v, il, seed, &iters);
   ++stats_.newton_solves;
   stats_.newton_iterations += iters;
-  if (plan.warm) ++stats_.warm_starts;
-  if (packed) ++stats_.simd_lanes;
-  solve_cache_ = {plan.v, plan.il, i, true};
+  solve_cache_ = {v, il, i, true};
+  return i;
 }
 
 double PvSource::available_power(double t) const {

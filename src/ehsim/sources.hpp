@@ -18,11 +18,10 @@
 
 namespace pns::ehsim {
 
-/// Accounting of the PV implicit solves behind a PvSource (and of the
-/// packed kernel executing them in batched runs). Pure observability:
-/// counting changes no arithmetic, and none of these numbers reach the
-/// default CSV/JSON emitters -- they surface through pns_bench_report
-/// and the batch stepper stats, where kernel wins must be attributable.
+/// Accounting of the PV implicit solves behind a PvSource. Pure
+/// observability: counting changes no arithmetic, and none of these
+/// numbers reach the default CSV/JSON emitters -- they surface through
+/// pns_bench_report and the repository benchmark's per-layer split.
 struct PvSolveStats {
   std::uint64_t calls = 0;         ///< current() evaluations
   std::uint64_t table_hits = 0;    ///< answered by the bilinear table
@@ -30,7 +29,6 @@ struct PvSolveStats {
   std::uint64_t newton_solves = 0; ///< damped-Newton solves executed
   std::uint64_t newton_iterations = 0;  ///< iterations across those solves
   std::uint64_t warm_starts = 0;   ///< solves seeded from a nearby point
-  std::uint64_t simd_lanes = 0;    ///< solves executed inside a packed kernel
 
   PvSolveStats& operator+=(const PvSolveStats& o) {
     calls += o.calls;
@@ -39,7 +37,6 @@ struct PvSolveStats {
     newton_solves += o.newton_solves;
     newton_iterations += o.newton_iterations;
     warm_starts += o.warm_starts;
-    simd_lanes += o.simd_lanes;
     return *this;
   }
 };
@@ -107,40 +104,6 @@ class PvSource : public CurrentSource {
            std::shared_ptr<const PvTable> table);
 
   double current(double v, double t) const override;
-
-  /// Decomposition of one current(v, t) evaluation for the batched SIMD
-  /// kernel (ehsim/solar_cell_simd.hpp): plan_current() classifies the
-  /// evaluation without solving, the caller executes the table / Newton
-  /// paths (possibly packed across lanes), and commit_newton() applies
-  /// the cache update a direct current() call would have made. The
-  /// classification and the seed are computed with exactly the
-  /// operations current() uses, so plan -> execute -> commit is
-  /// bit-identical to current() -- current() itself is implemented on
-  /// top of this plan, keeping one copy of the logic.
-  struct SolvePlan {
-    enum class Path : unsigned char {
-      kMemo,    ///< exact (v, il) repeat: `value` is the answer, no commit
-      kTable,   ///< inside the tabulated rectangle: bilinear table lookup
-      kNewton,  ///< damped Newton from `seed`; commit_newton() afterwards
-    };
-    Path path = Path::kNewton;
-    double v = 0.0;      ///< node voltage of the evaluation
-    double g = 0.0;      ///< irradiance at t (table lookup coordinate)
-    double il = 0.0;     ///< photo-current (Newton target)
-    double value = 0.0;  ///< the answer when path == kMemo
-    double seed = 0.0;   ///< Newton start current when path == kNewton
-    bool warm = false;   ///< seed reuses the last converged current
-  };
-
-  /// Classifies the evaluation at (v, t) and accounts it in
-  /// solve_stats(). For kMemo/kTable plans there is nothing to commit.
-  SolvePlan plan_current(double v, double t) const;
-
-  /// Records the solved current of a kNewton plan: advances the
-  /// memo/warm-start cache exactly as current() would and accounts
-  /// `iters` Newton iterations (`packed` marks kernel-executed solves).
-  void commit_newton(const SolvePlan& plan, double i, std::uint32_t iters,
-                     bool packed) const;
 
   /// Lifetime solve accounting of this source (see PvSolveStats).
   const PvSolveStats& solve_stats() const { return stats_; }

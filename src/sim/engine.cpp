@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "soc/topology.hpp"
 #include "util/contracts.hpp"
@@ -17,6 +18,45 @@ constexpr int kTagBrownout = 3;  // node fell through v_min
 constexpr int kTagRecover = 4;   // node rose through the reboot level
 
 constexpr double kTimeEps = 1e-9;
+
+/// Per-domain energy, instructions and budget share of a multi-domain
+/// platform, accumulated segment by segment.
+struct DomainLedger {
+  explicit DomainLedger(std::size_t n)
+      : seg_power(n), seg_rate(n), energy_j(n), instr(n), share_time(n) {}
+
+  /// Latched per segment by SocRuntime::domain_rates.
+  std::vector<double> seg_power, seg_rate;
+  std::vector<double> energy_j, instr;
+  std::vector<double> share_time;  ///< integral of budget share dt
+  double share_dt = 0.0;           ///< time with a live domain budget
+
+  void add_segment(double dt) {
+    double total = 0.0;
+    for (std::size_t d = 0; d < seg_power.size(); ++d) {
+      energy_j[d] += seg_power[d] * dt;
+      instr[d] += seg_rate[d] * dt;
+      total += seg_power[d];
+    }
+    if (total > 0.0) {
+      for (std::size_t d = 0; d < seg_power.size(); ++d)
+        share_time[d] += seg_power[d] / total * dt;
+      share_dt += dt;
+    }
+  }
+
+  void publish(const soc::MultiDomainModel& model,
+               std::vector<DomainMetrics>& out) const {
+    out.resize(model.domain_count());
+    for (std::size_t d = 0; d < model.domain_count(); ++d) {
+      DomainMetrics& m = out[d];
+      m.name = model.domains[d].name;
+      m.energy_j = energy_j[d];
+      m.instructions = instr[d];
+      m.mean_budget_share = share_dt > 0.0 ? share_time[d] / share_dt : 0.0;
+    }
+  }
+};
 
 }  // namespace
 
@@ -228,254 +268,197 @@ void SimEngine::kick_if_outside(double vc, double t) {
   }
 }
 
-SimResult SimEngine::run() {
-  begin();
-  while (!finished()) {
-    SegmentPlan plan = plan_segment();
-    ehsim::IntegrationResult res;
-    if (plan.coasted)
-      res = plan.coast_result;
-    else
-      res = integrator_.advance(plan.t_stop, events_);
-    commit_segment(res);
-  }
-  return finish();
+double SimEngine::governor_stop(double seg_t0, double next_gov_tick) const {
+  // Find the first tick that is not provably a no-op and stop there
+  // instead of at every tick. Premises are re-validated every segment,
+  // and anything that could break one mid-segment (an event, an OPP
+  // boundary, boot completion) ends the segment first, so skipped ticks
+  // are skipped soundly.
+  if (!cfg_.gov_tick_elide || !governor_ ||
+      next_gov_tick == std::numeric_limits<double>::infinity())
+    return next_gov_tick;
+  // While the SoC is off a tick only reschedules itself; skip them all.
+  // Catch-up keeps the tick on the sampling grid, so ticking resumes
+  // exactly where an unelided run would resume.
+  if (!soc_.is_on()) return std::numeric_limits<double>::infinity();
+  if (soc_.transitioning() ||
+      workload_->utilization(seg_t0) != latched_util_)
+    return next_gov_tick;
+  gov::GovernorContext ctx{seg_t0, latched_util_, soc_.final_target()};
+  const double hold = std::min(governor_->hold_until(ctx),
+                               workload_->constant_until(seg_t0));
+  if (hold == std::numeric_limits<double>::infinity()) return hold;
+  const double period = governor_->sampling_period();
+  double stop = next_gov_tick;
+  while (stop + kTimeEps < hold) stop += period;
+  return stop;
 }
 
-void SimEngine::begin() {
+SimResult SimEngine::run() {
   PNS_EXPECTS(!ran_);
   ran_ = true;
 
-  cur_t_ = cfg_.t_start;
-  cur_vc_ = cfg_.vc0;
+  double t = cfg_.t_start;
+  double vc = cfg_.vc0;
 
-  result_ = {};
-  result_.used_controller = controller_.has_value();
-  result_.control_name = controller_   ? "power-neutral"
-                         : governor_   ? governor_->name()
-                                       : "static";
+  SimResult result;
+  result.used_controller = controller_.has_value();
+  result.control_name = controller_   ? "power-neutral"
+                        : governor_   ? governor_->name()
+                                      : "static";
 
-  acc_.emplace(cur_t_, cfg_.v_target, cfg_.band_fraction);
-  acc_->attach_histogram(&result_.voltage_histogram);
-  recorder_.emplace(cfg_.record_interval_s, cfg_.record_series);
+  MetricsAccumulator acc(t, cfg_.v_target, cfg_.band_fraction);
+  acc.attach_histogram(&result.voltage_histogram);
+  SeriesRecorder recorder(cfg_.record_interval_s, cfg_.record_series);
+  DomainLedger domains(platform_->domains ? platform_->domains->domain_count()
+                                          : 0);
 
-  if (platform_->domains) {
-    const std::size_t n = platform_->domains->domain_count();
-    seg_dom_power_.assign(n, 0.0);
-    seg_dom_rate_.assign(n, 0.0);
-    dom_energy_j_.assign(n, 0.0);
-    dom_instr_.assign(n, 0.0);
-    dom_share_time_.assign(n, 0.0);
-    dom_share_dt_ = 0.0;
-  }
-
-  latched_util_ = workload_->utilization(cur_t_);
+  latched_util_ = workload_->utilization(t);
   if (controller_) {
-    controller_->calibrate(cur_vc_, cur_t_);
-    kick_if_outside(cur_vc_, cur_t_);
+    controller_->calibrate(vc, t);
+    kick_if_outside(vc, t);
   }
 
-  integrator_.reset(cur_t_, std::span<const double>(&cur_vc_, 1));
+  integrator_.reset(t, std::span<const double>(&vc, 1));
 
-  next_gov_tick_ = governor_
-                       ? cur_t_ + governor_->sampling_period()
-                       : std::numeric_limits<double>::infinity();
-  gov_stop_ = next_gov_tick_;
+  double next_gov_tick =
+      governor_ ? t + governor_->sampling_period()
+                : std::numeric_limits<double>::infinity();
 
-  if (recorder_->would_record(cur_t_, /*force=*/true))
-    recorder_->record(cur_t_, snapshot(cur_vc_, cur_t_), /*force=*/true);
+  if (recorder.would_record(t, /*force=*/true))
+    recorder.record(t, snapshot(vc, t), /*force=*/true);
 
   // Load power the integrator's cached FSAL derivative was computed
   // under. The derivative only goes stale when this changes (or when an
-  // event rewinds the state, which the integrator tracks itself), so
-  // plan_segment() invalidates on *change* instead of every segment --
+  // event rewinds the state, which the integrator tracks itself), so the
+  // loop below invalidates on *change* instead of every segment --
   // saving one derivative evaluation per quiet stop point. Recomputing
   // f(t, y) under an unchanged load is bit-identical to the cached
   // value, so this cannot perturb any trajectory.
-  ode_p_base_ = std::numeric_limits<double>::quiet_NaN();
-}
+  double ode_p_base = std::numeric_limits<double>::quiet_NaN();
 
-bool SimEngine::finished() const { return cur_t_ >= cfg_.t_end - kTimeEps; }
+  while (t < cfg_.t_end - kTimeEps) {
+    const double seg_t0 = t;
+    const double v0 = vc;
+    if (!governor_) latched_util_ = workload_->utilization(t);
+    refresh_segment_power();
+    if (seg_p_base_ != ode_p_base) {
+      integrator_.notify_discontinuity();
+      ode_p_base = seg_p_base_;
+    }
+    const double p_load = segment_load_power(v0);
+    const double p_harv0 = source_->current(v0, t) * v0;
+    const double instr_rate = soc_.instruction_rate(latched_util_);
+    if (platform_->domains)
+      soc_.domain_rates(latched_util_, domains.seg_power, domains.seg_rate);
 
-SimEngine::SegmentPlan SimEngine::plan_segment() {
-  seg_t0_ = cur_t_;
-  seg_v0_ = cur_vc_;
-  if (!governor_) latched_util_ = workload_->utilization(cur_t_);
-  refresh_segment_power();
-  if (seg_p_base_ != ode_p_base_) {
-    integrator_.notify_discontinuity();
-    ode_p_base_ = seg_p_base_;
+    const double gov_stop = governor_stop(seg_t0, next_gov_tick);
+    const double t_stop = std::min(
+        {cfg_.t_end, seg_t0 + cfg_.max_segment_s, soc_.next_boundary(),
+         soc_.boot_complete_time(), gov_stop});
+    PNS_ENSURES(t_stop > seg_t0);
+
+    refresh_events();
+    ehsim::IntegrationResult res;
+    if (!cfg_.coast || !try_coast(t, vc, gov_stop, res))
+      res = integrator_.advance(t_stop, events_);
+    t = res.t;
+    vc = integrator_.state()[0];
+
+    // --- segment accounting ---------------------------------------------
+    acc.add_segment(seg_t0, t, v0, vc, p_harv0,
+                    source_->current(vc, t) * vc, p_load, instr_rate,
+                    soc_.is_on());
+    workload_->advance(seg_t0, t - seg_t0, instr_rate);
+    if (platform_->domains) domains.add_segment(t - seg_t0);
+
+    // --- event / boundary handling ---------------------------------------
+    bool force_record = false;
+    if (res.event_fired) {
+      force_record = true;
+      switch (res.event_tag) {
+        case kTagLow:
+        case kTagHigh: {
+          // Let the comparator see the crossing, then run the ISR.
+          auto edge = monitor_->sample(vc);
+          const hw::MonitorEdge e =
+              edge.value_or(res.event_tag == kTagLow
+                                ? hw::MonitorEdge::kLowFalling
+                                : hw::MonitorEdge::kHighRising);
+          dispatch_interrupt(e, t);
+          break;
+        }
+        case kTagBrownout:
+          acc.on_brownout(t);
+          soc_.power_off(t);
+          break;
+        case kTagRecover:
+          soc_.begin_boot(t);
+          break;
+        default:
+          break;
+      }
+    }
+
+    // Timed boundaries are checked even when an event fired at the same
+    // instant (an event landing exactly on a step boundary must not leave
+    // the completed step pending, or the next segment would be empty).
+    if (t + kTimeEps >= soc_.next_boundary()) {
+      soc_.complete_step(t);
+      force_record = true;
+    }
+    if (t + kTimeEps >= soc_.boot_complete_time()) {
+      soc_.complete_boot(t);
+      if (controller_) {
+        controller_->calibrate(vc, t);
+        kick_if_outside(vc, t);
+      }
+      if (governor_) governor_->reset();
+      force_record = true;
+    }
+    if (governor_) {
+      // Catch-up over elided ticks: every tick at or before t that was
+      // provably a no-op (strictly before gov_stop) is consumed without
+      // running the handler, staying on the sampling grid throughout.
+      const double period = governor_->sampling_period();
+      while (next_gov_tick + kTimeEps < gov_stop &&
+             next_gov_tick <= t + kTimeEps)
+        next_gov_tick += period;
+    }
+    if (governor_ && t + kTimeEps >= next_gov_tick) {
+      next_gov_tick = t + governor_->sampling_period();
+      if (soc_.is_on()) {
+        latched_util_ = workload_->utilization(t);
+        gov::GovernorContext ctx{t, latched_util_, soc_.final_target()};
+        const auto desired = governor_->decide(ctx);
+        if (desired.freq_index != ctx.current.freq_index &&
+            !soc_.transitioning()) {
+          soc_.enqueue_plan(planner_.plan_dvfs_jump(ctx.current,
+                                                    desired.freq_index,
+                                                    latched_util_),
+                            t);
+          force_record = true;
+        }
+      }
+    }
+    // Sync the comparator state machines at quiet stop points (catches
+    // hysteresis re-arm crossings that are not watched as events).
+    if (!res.event_fired && controller_ && soc_.is_on()) {
+      if (auto edge = monitor_->sample(vc)) dispatch_interrupt(*edge, t);
+    }
+
+    if (recorder.would_record(t, force_record))
+      recorder.record(t, snapshot(vc, t), force_record);
   }
-  seg_p_load_ = segment_load_power(seg_v0_);
-  seg_p_harv0_ = source_->current(seg_v0_, cur_t_) * seg_v0_;
-  seg_instr_rate_ = soc_.instruction_rate(latched_util_);
+
+  result.metrics = acc.finish(t, platform_->perf.params().instr_per_frame);
   if (platform_->domains)
-    soc_.domain_rates(latched_util_, seg_dom_power_, seg_dom_rate_);
-
-  // Governor-tick elision: find the first tick that is not provably a
-  // no-op and stop there instead of at every tick. Premises are
-  // re-validated every segment, and anything that could break one mid-
-  // segment (an event, an OPP boundary, boot completion) ends the segment
-  // first, so skipped ticks are skipped soundly.
-  gov_stop_ = next_gov_tick_;
-  if (cfg_.gov_tick_elide && governor_ &&
-      next_gov_tick_ < std::numeric_limits<double>::infinity()) {
-    if (!soc_.is_on()) {
-      // While the SoC is off a tick only reschedules itself; skip them
-      // all. Catch-up keeps next_gov_tick_ on the sampling grid, so
-      // ticking resumes exactly where an unelided run would resume.
-      gov_stop_ = std::numeric_limits<double>::infinity();
-    } else if (!soc_.transitioning() &&
-               workload_->utilization(seg_t0_) == latched_util_) {
-      gov::GovernorContext ctx{seg_t0_, latched_util_, soc_.final_target()};
-      const double hold = std::min(governor_->hold_until(ctx),
-                                   workload_->constant_until(seg_t0_));
-      if (hold == std::numeric_limits<double>::infinity()) {
-        gov_stop_ = std::numeric_limits<double>::infinity();
-      } else {
-        const double period = governor_->sampling_period();
-        while (gov_stop_ + kTimeEps < hold) gov_stop_ += period;
-      }
-    }
-  }
-
-  SegmentPlan plan;
-  plan.t_stop = std::min(
-      {cfg_.t_end, seg_t0_ + cfg_.max_segment_s, soc_.next_boundary(),
-       soc_.boot_complete_time(), gov_stop_});
-  PNS_ENSURES(plan.t_stop > seg_t0_);
-
-  refresh_events();
-  if (cfg_.coast && try_coast(cur_t_, cur_vc_, gov_stop_, plan.coast_result))
-    plan.coasted = true;
-  return plan;
-}
-
-void SimEngine::commit_segment(const ehsim::IntegrationResult& res) {
-  const double t = res.t;
-  const double vc = integrator_.state()[0];
-  cur_t_ = t;
-  cur_vc_ = vc;
-
-  // --- segment accounting ---------------------------------------------
-  acc_->add_segment(seg_t0_, t, seg_v0_, vc, seg_p_harv0_,
-                    source_->current(vc, t) * vc, seg_p_load_,
-                    seg_instr_rate_, soc_.is_on());
-  workload_->advance(seg_t0_, t - seg_t0_, seg_instr_rate_);
-  if (platform_->domains) {
-    const double dt = t - seg_t0_;
-    double total = 0.0;
-    for (std::size_t d = 0; d < seg_dom_power_.size(); ++d) {
-      dom_energy_j_[d] += seg_dom_power_[d] * dt;
-      dom_instr_[d] += seg_dom_rate_[d] * dt;
-      total += seg_dom_power_[d];
-    }
-    if (total > 0.0) {
-      for (std::size_t d = 0; d < seg_dom_power_.size(); ++d)
-        dom_share_time_[d] += seg_dom_power_[d] / total * dt;
-      dom_share_dt_ += dt;
-    }
-  }
-
-  // --- event / boundary handling ---------------------------------------
-  bool force_record = false;
-  if (res.event_fired) {
-    force_record = true;
-    switch (res.event_tag) {
-      case kTagLow:
-      case kTagHigh: {
-        // Let the comparator see the crossing, then run the ISR.
-        auto edge = monitor_->sample(vc);
-        const hw::MonitorEdge e =
-            edge.value_or(res.event_tag == kTagLow
-                              ? hw::MonitorEdge::kLowFalling
-                              : hw::MonitorEdge::kHighRising);
-        dispatch_interrupt(e, t);
-        break;
-      }
-      case kTagBrownout:
-        acc_->on_brownout(t);
-        soc_.power_off(t);
-        break;
-      case kTagRecover:
-        soc_.begin_boot(t);
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Timed boundaries are checked even when an event fired at the same
-  // instant (an event landing exactly on a step boundary must not leave
-  // the completed step pending, or the next segment would be empty).
-  if (t + kTimeEps >= soc_.next_boundary()) {
-    soc_.complete_step(t);
-    force_record = true;
-  }
-  if (t + kTimeEps >= soc_.boot_complete_time()) {
-    soc_.complete_boot(t);
-    if (controller_) {
-      controller_->calibrate(vc, t);
-      kick_if_outside(vc, t);
-    }
-    if (governor_) governor_->reset();
-    force_record = true;
-  }
-  if (governor_) {
-    // Catch-up over elided ticks: every tick at or before t that was
-    // provably a no-op (strictly before gov_stop_) is consumed without
-    // running the handler, staying on the sampling grid throughout.
-    const double period = governor_->sampling_period();
-    while (next_gov_tick_ + kTimeEps < gov_stop_ &&
-           next_gov_tick_ <= t + kTimeEps)
-      next_gov_tick_ += period;
-  }
-  if (governor_ && t + kTimeEps >= next_gov_tick_) {
-    next_gov_tick_ = t + governor_->sampling_period();
-    if (soc_.is_on()) {
-      latched_util_ = workload_->utilization(t);
-      gov::GovernorContext ctx{t, latched_util_, soc_.final_target()};
-      const auto desired = governor_->decide(ctx);
-      if (desired.freq_index != ctx.current.freq_index &&
-          !soc_.transitioning()) {
-        soc_.enqueue_plan(planner_.plan_dvfs_jump(ctx.current,
-                                                  desired.freq_index,
-                                                  latched_util_),
-                          t);
-        force_record = true;
-      }
-    }
-  }
-  // Sync the comparator state machines at quiet stop points (catches
-  // hysteresis re-arm crossings that are not watched as events).
-  if (!res.event_fired && controller_ && soc_.is_on()) {
-    if (auto edge = monitor_->sample(vc)) dispatch_interrupt(*edge, t);
-  }
-
-  if (recorder_->would_record(t, force_record))
-    recorder_->record(t, snapshot(vc, t), force_record);
-}
-
-SimResult SimEngine::finish() {
-  result_.metrics =
-      acc_->finish(cur_t_, platform_->perf.params().instr_per_frame);
-  if (platform_->domains) {
-    const auto& model = *platform_->domains;
-    result_.metrics.domains.resize(model.domain_count());
-    for (std::size_t d = 0; d < model.domain_count(); ++d) {
-      DomainMetrics& m = result_.metrics.domains[d];
-      m.name = model.domains[d].name;
-      m.energy_j = dom_energy_j_[d];
-      m.instructions = dom_instr_[d];
-      m.mean_budget_share =
-          dom_share_dt_ > 0.0 ? dom_share_time_[d] / dom_share_dt_ : 0.0;
-    }
-  }
+    domains.publish(*platform_->domains, result.metrics.domains);
   if (const auto* pv = dynamic_cast<const ehsim::PvSource*>(source_))
-    result_.metrics.pv_solve = pv->solve_stats();
-  result_.series = recorder_->take();
-  if (controller_) result_.controller = controller_->stats();
-  return std::move(result_);
+    result.metrics.pv_solve = pv->solve_stats();
+  result.series = recorder.take();
+  if (controller_) result.controller = controller_->stats();
+  return result;
 }
 
 }  // namespace pns::sim

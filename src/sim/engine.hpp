@@ -17,7 +17,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,8 +77,7 @@ struct SimConfig {
   /// on the sampling grid (catch-up re-aligns), so runs with and without
   /// elision fire the same *live* ticks at the same times; elision is an
   /// execution strategy, not a model change. Off for the default `rk23`
-  /// kind (pinned bit-identical to the published CSVs); on for rk23pi /
-  /// rk23batch.
+  /// kind (pinned bit-identical to the published CSVs); on for rk23pi.
   bool gov_tick_elide = false;
 
   // Recording.
@@ -146,56 +144,6 @@ class SimEngine {
   /// Callable once.
   SimResult run();
 
-  // --- stepped-run API --------------------------------------------------
-  // For external drivers that interleave several engines (sim/batch_engine):
-  //   begin();
-  //   while (!finished()) {
-  //     SegmentPlan plan = plan_segment();
-  //     ehsim::IntegrationResult res;
-  //     if (plan.coasted) res = plan.coast_result;
-  //     else            res = integrator().advance(plan.t_stop, events());
-  //     commit_segment(res);
-  //   }
-  //   SimResult r = finish();
-  // run() is exactly this loop (with advance() optionally replaced by a
-  // begin_window/step_window sequence, which is itself bit-identical), so
-  // a stepped run produces bit-identical results to run().
-
-  /// What plan_segment() decided for the next segment. When `coasted` the
-  /// analytic jump has already been applied to the integrator and
-  /// `coast_result` must be committed as-is; otherwise integrate to
-  /// `t_stop` against events() and commit that result.
-  struct SegmentPlan {
-    double t_stop = 0.0;
-    bool coasted = false;
-    ehsim::IntegrationResult coast_result;
-  };
-
-  /// run()'s prologue: initial calibration, recorder/metrics setup.
-  /// Callable once (shares the run() guard).
-  void begin();
-  /// True when the run reached t_end and finish() may be called.
-  bool finished() const;
-  /// Latches utilisation, refreshes segment power/events, computes the
-  /// next stop point and tries the coasting fast path.
-  SegmentPlan plan_segment();
-  /// Applies an integration (or coast) outcome: metrics, workload
-  /// progress, event dispatch, timed boundaries, governor ticks,
-  /// recording.
-  void commit_segment(const ehsim::IntegrationResult& res);
-  /// Closes metrics and returns the result. Callable once, after
-  /// finished().
-  SimResult finish();
-
-  double time() const { return cur_t_; }
-  double voltage() const { return cur_vc_; }
-  ehsim::Rk23Integrator& integrator() { return integrator_; }
-  std::span<const ehsim::EventSpec> events() const { return events_; }
-  /// The ODE system integrator() integrates. The batched SIMD stepper
-  /// binds this to evaluate the PV solves packed across lanes
-  /// (ehsim/solar_cell_simd.hpp).
-  const ehsim::EhCircuit& circuit() const { return circuit_; }
-
  private:
   SimEngine(const soc::Platform& platform,
             const ehsim::CurrentSource& source, soc::Workload& workload,
@@ -226,6 +174,12 @@ class SimEngine {
   void kick_if_outside(double vc, double t);
   Snapshot snapshot(double vc, double t) const;
   void dispatch_interrupt(hw::MonitorEdge edge, double t);
+
+  /// First governor tick at or after `next_gov_tick` that is not
+  /// provably a no-op for a segment starting at `seg_t0` (see
+  /// SimConfig::gov_tick_elide); `next_gov_tick` itself when elision is
+  /// off or cannot vouch for the next tick.
+  double governor_stop(double seg_t0, double next_gov_tick) const;
 
   /// Steady-state coasting: if the span [t, horizon] (timed boundaries
   /// and the circuit's vouched time-invariance window, computed inside)
@@ -284,38 +238,6 @@ class SimEngine {
   EventSetKey event_key_;
   bool event_key_valid_ = false;
   bool ran_ = false;
-
-  // --- stepped-run state (begin() .. finish()) --------------------------
-  SimResult result_;
-  std::optional<MetricsAccumulator> acc_;
-  std::optional<SeriesRecorder> recorder_;
-  double cur_t_ = 0.0;
-  double cur_vc_ = 0.0;
-  double next_gov_tick_ = 0.0;
-  /// First governor tick that is not provably a no-op (== next_gov_tick_
-  /// unless cfg_.gov_tick_elide bought a longer hold); bounds t_stop.
-  double gov_stop_ = 0.0;
-  /// Load power the integrator's cached FSAL derivative was computed
-  /// under; stale-derivative invalidation happens on *change* only.
-  double ode_p_base_ = 0.0;
-  // Carried from plan_segment() into commit_segment().
-  double seg_t0_ = 0.0;
-  double seg_v0_ = 0.0;
-  double seg_p_load_ = 0.0;
-  double seg_p_harv0_ = 0.0;
-  double seg_instr_rate_ = 0.0;
-
-  // Per-domain accounting, active only when platform_->domains is set
-  // (sized in begin(), latched per segment next to seg_instr_rate_).
-  // Accumulation happens in commit_segment(), so the batched engine --
-  // which drives the same plan/commit pair -- produces identical
-  // per-domain metrics for free.
-  std::vector<double> seg_dom_power_;
-  std::vector<double> seg_dom_rate_;
-  std::vector<double> dom_energy_j_;
-  std::vector<double> dom_instr_;
-  std::vector<double> dom_share_time_;  ///< integral of budget share dt
-  double dom_share_dt_ = 0.0;           ///< time with a live domain budget
 };
 
 }  // namespace pns::sim

@@ -129,18 +129,7 @@ SimResult run_pv_control(const soc::Platform& platform,
                          const ehsim::CurrentSource& source,
                          ControlSelection control, SimConfig sim_config,
                          bool warm_start) {
-  EngineBundle bundle = make_pv_engine(platform, source, std::move(control),
-                                       std::move(sim_config), warm_start);
-  return bundle.engine->run();
-}
-
-EngineBundle make_pv_engine(const soc::Platform& platform,
-                            const ehsim::CurrentSource& source,
-                            ControlSelection control, SimConfig sim_config,
-                            bool warm_start) {
-  EngineBundle bundle;
-  bundle.workload = std::make_unique<soc::RaytraceWorkload>(
-      platform.perf.params().instr_per_frame);
+  soc::RaytraceWorkload workload(platform.perf.params().instr_per_frame);
   switch (control.kind) {
     case ControlKind::kPowerNeutral: {
       if (warm_start) {
@@ -157,10 +146,9 @@ EngineBundle make_pv_engine(const soc::Platform& platform,
           sim_config.initial_opp = balanced_opp(
               platform, source.available_power(sim_config.t_start));
       }
-      bundle.engine = std::make_unique<SimEngine>(
-          platform, source, *bundle.workload, std::move(sim_config),
-          control.controller);
-      return bundle;
+      SimEngine engine(platform, source, workload, std::move(sim_config),
+                       control.controller);
+      return engine.run();
     }
     case ControlKind::kGovernor: {
       // Stock Linux keeps every core online; governors only move
@@ -169,20 +157,18 @@ EngineBundle make_pv_engine(const soc::Platform& platform,
         sim_config.initial_opp =
             soc::OperatingPoint{platform.opps.min_index(),
                                 platform.max_cores};
-      bundle.engine = std::make_unique<SimEngine>(
-          platform, source, *bundle.workload, std::move(sim_config),
-          std::move(control.governor));
-      return bundle;
+      SimEngine engine(platform, source, workload, std::move(sim_config),
+                       std::move(control.governor));
+      return engine.run();
     }
     case ControlKind::kStatic: {
       if (control.static_opp) sim_config.initial_opp = control.static_opp;
-      bundle.engine = std::make_unique<SimEngine>(
-          platform, source, *bundle.workload, std::move(sim_config));
-      return bundle;
+      SimEngine engine(platform, source, workload, std::move(sim_config));
+      return engine.run();
     }
   }
   PNS_EXPECTS(false && "unreachable: unknown ControlKind");
-  return bundle;
+  return {};
 }
 
 SimResult run_solar_power_neutral(const soc::Platform& platform,

@@ -88,25 +88,6 @@ SimResult run_pv_control(const soc::Platform& platform,
                          ControlSelection control, SimConfig sim_config,
                          bool warm_start);
 
-/// A constructed-but-not-yet-run engine together with the runtime pieces
-/// it references and the sweep layer cannot otherwise keep alive (the
-/// workload). The platform and source stay owned by the caller and must
-/// outlive the bundle. Move-only.
-struct EngineBundle {
-  std::unique_ptr<soc::RaytraceWorkload> workload;
-  std::unique_ptr<SimEngine> engine;
-};
-
-/// run_pv_control's assembly without the run: builds the standard
-/// raytrace workload, applies the same warm-start defaults, and returns
-/// the ready engine instead of running it. run_pv_control is exactly
-/// make_pv_engine + engine->run(); external drivers that interleave
-/// several engines (sim/batch_engine.hpp) construct lanes through this.
-EngineBundle make_pv_engine(const soc::Platform& platform,
-                            const ehsim::CurrentSource& source,
-                            ControlSelection control, SimConfig sim_config,
-                            bool warm_start);
-
 /// The irradiance-driven PV source of a solar scenario: calibrated paper
 /// array + seeded weather trace (synthesised over [t_start - 60,
 /// t_end + 60] on the scenario's dt grid), honouring the scenario's PV

@@ -254,6 +254,22 @@ namespace {
                      "restore the journal from a backup");
 }
 
+/// Rewrites a deprecated integrator alias in a sweep identity to the
+/// kind it now runs as ("&integrator=rk23batch:rtol=1e-05" ->
+/// "&integrator=rk23pi:rtol=1e-05"), so journals written under the
+/// retired kinds resume and merge under rk23pi. Goes at the next
+/// re-anchor, together with resolve_integrator_alias's aliases.
+std::string map_retired_integrator(std::string sweep) {
+  constexpr std::string_view kKey = "&integrator=";
+  const std::size_t at = sweep.find(kKey);
+  if (at == std::string::npos) return sweep;
+  const std::size_t begin = at + kKey.size();
+  const std::size_t end = std::min(sweep.find(':', begin),
+                                   sweep.find('&', begin));
+  const std::string kind = sweep.substr(begin, end - begin);
+  return sweep.replace(begin, kind.size(), resolve_integrator_alias(kind));
+}
+
 }  // namespace
 
 JournalContents read_journal(const std::string& path) {
@@ -298,7 +314,8 @@ JournalContents read_journal(const std::string& path) {
           throw JournalError(path + ": first line is not a journal header");
         if (doc.at("version").as_int64() != kJournalVersion)
           throw JournalError(path + ": unsupported journal version");
-        contents.header.sweep = doc.at("sweep").as_string();
+        contents.header.sweep =
+            map_retired_integrator(doc.at("sweep").as_string());
         contents.header.total =
             static_cast<std::size_t>(doc.at("total").as_uint64());
         header_seen = true;
@@ -430,24 +447,8 @@ std::string sweep_identity(const std::string& sweep_name, double minutes,
   for (const auto& s : sources) id += "&source=" + s.spec_string();
   // The default integrator is omitted (it computes identically whether
   // spelled out or not), so pre-existing journal identities stay valid.
-  // Execution-only keys (IntegratorEntry::execution_only, e.g.
-  // rk23batch's "width") select a scheduling strategy, not numerics:
-  // they are stripped so journals written under different widths stay
-  // interchangeable on resume.
-  IntegratorSpec canonical{integrator.kind, {}};
-  if (const IntegratorEntry* entry =
-          IntegratorRegistry::instance().find(integrator.kind)) {
-    for (const auto& [key, value] : integrator.params.entries()) {
-      if (std::find(entry->execution_only.begin(),
-                    entry->execution_only.end(),
-                    key) == entry->execution_only.end())
-        canonical.params.set(key, value);
-    }
-  } else {
-    canonical.params = integrator.params;
-  }
-  if (canonical != IntegratorSpec{})
-    id += "&integrator=" + canonical.spec_string();
+  if (integrator != IntegratorSpec{})
+    id += "&integrator=" + integrator.spec_string();
   // The default "mono" platform is likewise omitted, keeping every
   // pre-existing journal identity valid; any other topology changes the
   // computed bytes, so its full spec string pins the identity.

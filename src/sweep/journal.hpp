@@ -196,12 +196,11 @@ void write_canonical_journal(const std::string& path,
 /// knob that changes what the scenarios compute -- the window length, the
 /// PV mode, the full spec strings of any --control/--source overrides,
 /// and the integrator (appended only when it differs from the default
-/// "rk23", which computes identically whether spelled or omitted;
-/// execution-only keys like rk23batch's "width" are stripped, since any
-/// width computes the same bytes) and the platform (appended only when
-/// it differs from the default "mono", for the same reason). A resume
-/// whose overrides differ therefore fails the header match instead of
-/// silently mixing differently-parameterised rows.
+/// "rk23", which computes identically whether spelled or omitted) and
+/// the platform (appended only when it differs from the default "mono",
+/// for the same reason). A resume whose overrides differ therefore fails
+/// the header match instead of silently mixing differently-parameterised
+/// rows.
 std::string sweep_identity(const std::string& sweep_name, double minutes,
                            ehsim::PvSource::Mode pv_mode,
                            const std::vector<ControlSpec>& controls,

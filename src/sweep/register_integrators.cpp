@@ -26,48 +26,6 @@ void apply_numeric_overrides(const ParamMap& params, sim::SimConfig& cfg) {
   cfg.max_ode_step_s = params.get_double("max_step", cfg.max_ode_step_s);
 }
 
-/// The second-generation numerics shared by rk23pi and rk23batch: PI
-/// step control, dense-output event roots, coasting, tick elision.
-/// rk23batch must stay *bit-identical* to rk23pi at every width, so the
-/// two kinds resolve their SimConfig through this one function -- a
-/// numeric default that drifted between them would silently break the
-/// parity contract the differential harness enforces.
-void apply_pi_family(const ParamMap& params, sim::SimConfig& cfg) {
-  // Wider stop points + a looser (but still sub-mV) tolerance: the
-  // PI controller holds the step at whatever the tolerance admits,
-  // and events -- not the segment grid -- bound the accuracy of
-  // the control interaction, which stays exactly localised.
-  cfg.max_segment_s = params.get_double("seg", 0.25);
-  cfg.max_ode_step_s = params.get_double("max_step", cfg.max_segment_s);
-  cfg.rel_tol = params.get_double("rtol", 1e-4);
-  cfg.abs_tol = params.get_double("atol", cfg.abs_tol);
-  cfg.step_control = ehsim::StepControl::kPi;
-  cfg.event_localization = ehsim::EventLocalization::kDenseRoot;
-  cfg.coast = params.get_bool("coast", true);
-  cfg.coast_dv_tol_v = params.get_double("coast_tol", 1e-4);
-  cfg.gov_tick_elide = params.get_bool("elide", true);
-}
-
-/// The ParamInfo list shared by the PI-family kinds.
-std::vector<ParamInfo> pi_family_params() {
-  return {
-      {"rtol", "double", "0.0001",
-       "relative tolerance (~0.5 mV local error on a 5 V node)"},
-      {"atol", "double", "", "absolute tolerance (default: scenario's)"},
-      {"seg", "double", "0.25",
-       "outer-loop stop-point spacing (s); also the metric sampling "
-       "granularity"},
-      {"max_step", "double", "",
-       "step-size ceiling in seconds (default: the segment span)"},
-      {"coast", "bool", "true",
-       "steady-state coasting across quiescent spans"},
-      {"coast_tol", "double", "0.0001",
-       "coasting drift budget on VC (volts)"},
-      {"elide", "bool", "true",
-       "governor-tick elision across provable no-op ticks"},
-  };
-}
-
 }  // namespace
 
 void register_builtin_integrators(IntegratorRegistry& registry) {
@@ -88,75 +46,53 @@ void register_builtin_integrators(IntegratorRegistry& registry) {
         cfg.event_localization = ehsim::EventLocalization::kBisection;
         cfg.coast = false;
       },
-      /*execution_only=*/{},
-      /*batch_capable=*/false,
   });
 
   registry.add(IntegratorEntry{
       "rk23pi",
       "RK2(3) + PI step control, dense-output events, coasting",
-      pi_family_params(),
-      [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
-        apply_pi_family(params, cfg);
+      {
+          {"rtol", "double", "0.0001",
+           "relative tolerance (~0.5 mV local error on a 5 V node)"},
+          {"atol", "double", "", "absolute tolerance (default: scenario's)"},
+          {"seg", "double", "0.25",
+           "outer-loop stop-point spacing (s); also the metric sampling "
+           "granularity"},
+          {"max_step", "double", "",
+           "step-size ceiling in seconds (default: the segment span)"},
+          {"coast", "bool", "true",
+           "steady-state coasting across quiescent spans"},
+          {"coast_tol", "double", "0.0001",
+           "coasting drift budget on VC (volts)"},
+          {"elide", "bool", "true",
+           "governor-tick elision across provable no-op ticks"},
       },
-      /*execution_only=*/{},
-      /*batch_capable=*/false,
+      [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
+        // Wider stop points + a looser (but still sub-mV) tolerance: the
+        // PI controller holds the step at whatever the tolerance admits,
+        // and events -- not the segment grid -- bound the accuracy of
+        // the control interaction, which stays exactly localised.
+        cfg.max_segment_s = params.get_double("seg", 0.25);
+        cfg.max_ode_step_s =
+            params.get_double("max_step", cfg.max_segment_s);
+        cfg.rel_tol = params.get_double("rtol", 1e-4);
+        cfg.abs_tol = params.get_double("atol", cfg.abs_tol);
+        cfg.step_control = ehsim::StepControl::kPi;
+        cfg.event_localization = ehsim::EventLocalization::kDenseRoot;
+        cfg.coast = params.get_bool("coast", true);
+        cfg.coast_dv_tol_v = params.get_double("coast_tol", 1e-4);
+        cfg.gov_tick_elide = params.get_bool("elide", true);
+      },
   });
+}
 
-  {
-    // rk23pi's numerics executed in lockstep batches: the runner groups
-    // compatible rows (same control/source family) into one BatchEngine
-    // of up to `width` lanes per worker. Output bytes are independent of
-    // the width and of how rows land in batches; `width` is therefore an
-    // execution-only key -- journals written under different widths are
-    // interchangeable, and width=1 degenerates to plain rk23pi.
-    IntegratorEntry batch{
-        "rk23batch",
-        "rk23pi numerics in lockstep batches (bit-identical to rk23pi)",
-        pi_family_params(),
-        [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
-          apply_pi_family(params, cfg);
-        },
-        /*execution_only=*/{},
-        /*batch_capable=*/false,
-    };
-    batch.params.push_back(
-        {"width", "uint", "8",
-         "max lanes per lockstep batch (execution strategy only; every "
-         "width produces the same bytes)"});
-    batch.execution_only = {"width"};
-    batch.batch_capable = true;
-    registry.add(std::move(batch));
-  }
-
-  {
-    // rk23batch with the lockstep rounds driven data-parallel: RK stages
-    // and error norms evaluated across lanes in vector chunks, PV Newton
-    // solves and table lookups packed (ehsim/solar_cell_simd). Still the
-    // rk23pi numerics through apply_pi_family, still bit-identical at
-    // every width and lane order -- the differential harness holds
-    // rk23simd to byte-equality with rk23pi, and platforms whose packed
-    // kernels fail the startup self-test degrade to scalar execution
-    // automatically.
-    IntegratorEntry simd{
-        "rk23simd",
-        "rk23pi numerics, SIMD lockstep batches (bit-identical to rk23pi)",
-        pi_family_params(),
-        [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
-          apply_pi_family(params, cfg);
-        },
-        /*execution_only=*/{},
-        /*batch_capable=*/false,
-    };
-    simd.params.push_back(
-        {"width", "uint", "8",
-         "max lanes per lockstep batch (execution strategy only; every "
-         "width produces the same bytes)"});
-    simd.execution_only = {"width"};
-    simd.batch_capable = true;
-    simd.batch_simd = true;
-    registry.add(std::move(simd));
-  }
+std::string resolve_integrator_alias(std::string_view kind) {
+  // rk23batch and rk23simd ran rk23pi's numerics in lockstep batches and
+  // wrote rk23pi's bytes. Their engine is gone; the names stay accepted
+  // for one round so old command lines and journals keep working. The
+  // aliases go at the next re-anchor.
+  if (kind == "rk23batch" || kind == "rk23simd") return "rk23pi";
+  return std::string(kind);
 }
 
 }  // namespace pns::sweep

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ehsim/sources.hpp"
@@ -80,21 +81,6 @@ struct IntegratorEntry {
   /// SimConfig. Called from make_sim_config.
   std::function<void(const ScenarioSpec&, const ParamMap&, sim::SimConfig&)>
       apply;
-  /// Parameter keys that select *execution strategy*, not numerics: two
-  /// specs of this kind that differ only in these keys integrate
-  /// bit-identical trajectories. sweep_identity() strips them (journals
-  /// stay interchangeable across them) and the apply hook must ignore
-  /// them.
-  std::vector<std::string> execution_only;
-  /// Lockstep-batchable: the runner may group compatible adjacent rows
-  /// of this kind into one sim::BatchEngine per worker, up to the kind's
-  /// "width" parameter, without changing any output byte.
-  bool batch_capable = false;
-  /// Batched runs of this kind drive the data-parallel SIMD stepper
-  /// (BatchEngineOptions::simd): RK stages evaluated across lanes and PV
-  /// solves packed, still without changing any output byte. Implies
-  /// batch_capable semantics for everything else.
-  bool batch_simd = false;
 };
 
 /// One registered platform kind. Resolves to a complete soc::Platform:
@@ -200,6 +186,11 @@ ehsim::PvSource resolve_source(const ScenarioSpec& spec);
 /// (same diagnostics contract as resolve_control). Called by
 /// make_sim_config.
 void resolve_integrator(const ScenarioSpec& spec, sim::SimConfig& cfg);
+
+/// The kind a possibly retired integrator name runs as: "rk23pi" for the
+/// deprecated aliases rk23batch and rk23simd, `kind` itself otherwise.
+/// IntegratorSpec::parse and journal reading both map through it.
+std::string resolve_integrator_alias(std::string_view kind);
 
 /// The report/label "condition" string of a scenario: its source kind's
 /// condition_label, or the bare kind string when the kind is unknown

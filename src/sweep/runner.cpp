@@ -93,27 +93,6 @@ std::vector<SweepOutcome> SweepRunner::run(
   std::vector<SweepOutcome> outcomes(specs.size());
   if (specs.empty()) return outcomes;
 
-  // Work units: for a batch-capable integrator kind, maximal runs of
-  // adjacent batch-compatible specs capped at the kind's width; a
-  // singleton per spec otherwise. The partition is a pure function of
-  // the spec list -- never of scheduling -- so outputs stay independent
-  // of thread count, and batching itself never changes a row's bytes
-  // (see sim/batch_engine.hpp).
-  struct Unit {
-    std::size_t begin, end;
-  };
-  std::vector<Unit> units;
-  units.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size();) {
-    std::size_t end = i + 1;
-    const std::size_t width = batch_width(specs[i]);
-    while (end < specs.size() && end - i < width &&
-           batch_compatible(specs[i], specs[end]))
-      ++end;
-    units.push_back(Unit{i, end});
-    i = end;
-  }
-
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;  // guarded by progress_mutex
   std::mutex progress_mutex;
@@ -124,46 +103,11 @@ std::vector<SweepOutcome> SweepRunner::run(
     // the thread-count independence guarantee is unaffected).
     ScenarioAssets assets;
     for (;;) {
-      const std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
-      if (u >= units.size()) return;
-      const Unit unit = units[u];
-      const std::size_t rows = unit.end - unit.begin;
-      const auto t0 = std::chrono::steady_clock::now();
-      if (batch_width(specs[unit.begin]) > 0) {
-        // Lockstep path (also for a lone row: width=1 degenerates to the
-        // scalar call sequence inside BatchEngine, bit-identically).
-        std::vector<SweepOutcome> got;
-        if (options_.reuse_assets) {
-          got = run_scenarios_batched(specs.data() + unit.begin, rows,
-                                      assets);
-        } else {
-          ScenarioAssets throwaway;
-          got = run_scenarios_batched(specs.data() + unit.begin, rows,
-                                      throwaway);
-        }
-        // Per-row wall attribution: the unit's wall split evenly. Lanes
-        // advance interleaved, so no finer per-row figure exists; CSVs,
-        // JSON and canonical journal comparisons all exclude wall_s.
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        for (std::size_t r = 0; r < rows; ++r) {
-          got[r].wall_s = wall / static_cast<double>(rows);
-          outcomes[unit.begin + r] = std::move(got[r]);
-        }
-        if (options_.progress || options_.on_outcome) {
-          std::lock_guard<std::mutex> lock(progress_mutex);
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (options_.on_outcome)
-              options_.on_outcome(unit.begin + r, outcomes[unit.begin + r]);
-            if (options_.progress) options_.progress(++done, specs.size());
-          }
-        }
-        continue;
-      }
-      const std::size_t i = unit.begin;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= specs.size()) return;
       SweepOutcome& out = outcomes[i];
       out.spec = specs[i];
+      const auto t0 = std::chrono::steady_clock::now();
       try {
         out.result = options_.reuse_assets ? run_scenario(specs[i], assets)
                                            : run_scenario(specs[i]);

@@ -1,11 +1,9 @@
 #include "sweep/scenario.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <utility>
 
 #include "ehsim/sources.hpp"
-#include "sim/batch_engine.hpp"
 #include "sweep/assets.hpp"
 #include "sweep/registry.hpp"
 #include "util/contracts.hpp"
@@ -124,128 +122,6 @@ sim::SimResult run_scenario(const ScenarioSpec& spec,
 sim::SimResult run_scenario(const ScenarioSpec& spec) {
   ScenarioAssets assets;
   return run_scenario(spec, assets);
-}
-
-std::size_t batch_width(const ScenarioSpec& spec) {
-  const IntegratorEntry* entry =
-      IntegratorRegistry::instance().find(spec.integrator.kind);
-  if (entry == nullptr || !entry->batch_capable) return 0;
-  try {
-    const std::uint64_t width = spec.integrator.params.get_uint("width", 8);
-    return width == 0 ? 1 : static_cast<std::size_t>(width);
-  } catch (const ParamError&) {
-    // A malformed width fails spec parsing long before a sweep runs;
-    // a programmatically built spec that smuggled one in just loses
-    // batching (the apply hook ignores the key either way).
-    return 1;
-  }
-}
-
-bool batch_compatible(const ScenarioSpec& a, const ScenarioSpec& b) {
-  // Rows with different *controls* share a batch safely: every lane owns
-  // its full scalar state (engine, controller, source) and lockstep only
-  // interleaves execution, so mixing control families cannot couple lanes
-  // (held to byte-equality by test_batch_parity's
-  // MixedControlFamiliesShareABatchSafely). Not requiring equal controls
-  // lets a preset like table2 -- controls x seeds within one condition --
-  // form full-width batches instead of per-control slivers. The partition
-  // stays a pure function of the spec list (runner.cpp), so outputs stay
-  // independent of thread count.
-  return a.integrator == b.integrator &&
-         a.platform_spec == b.platform_spec &&
-         a.source.spec_string() == b.source.spec_string() &&
-         a.condition == b.condition && a.pv_mode == b.pv_mode;
-}
-
-std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
-                                                std::size_t count,
-                                                ScenarioAssets& assets) {
-  std::vector<SweepOutcome> outcomes(count);
-  // A lane bundles everything one engine references that run_scenario
-  // would have kept on its stack: the per-lane PvSource instance (each
-  // owns its own solve cache and trace-hint closures; the trace itself is
-  // shared immutably through `assets`) plus the engine and workload.
-  struct Lane {
-    std::size_t spec_index = 0;
-    /// Spec copy carrying a compiled multi-domain platform; null on the
-    /// legacy "mono" path. Heap-allocated so the engine's Platform
-    /// pointer stays stable while lanes move into the vector.
-    std::unique_ptr<ScenarioSpec> resolved;
-    std::unique_ptr<ehsim::PvSource> source;
-    sim::EngineBundle bundle;
-  };
-  std::vector<Lane> lanes;
-  lanes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    outcomes[i].spec = specs[i];
-    try {
-      std::unique_ptr<ScenarioSpec> resolved;
-      if (specs[i].platform_spec != PlatformSpec{}) {
-        resolved = std::make_unique<ScenarioSpec>(specs[i]);
-        resolved->platform = resolve_platform(specs[i].platform_spec);
-        resolved->platform_spec = PlatformSpec{};
-      }
-      const ScenarioSpec& spec = resolved ? *resolved : specs[i];
-      PNS_EXPECTS(spec.t_end > spec.t_start);
-      PNS_EXPECTS(spec.capacitance_f > 0.0);
-      const SourceEntry& source_entry =
-          SourceRegistry::instance().require(spec.source.kind);
-      sim::ControlSelection control = resolve_control(spec.control, spec);
-      auto source =
-          std::make_unique<ehsim::PvSource>(resolve_source(spec, assets));
-      sim::EngineBundle bundle = sim::make_pv_engine(
-          spec.platform, *source, std::move(control), make_sim_config(spec),
-          source_entry.solar_defaults);
-      lanes.push_back(Lane{i, std::move(resolved), std::move(source),
-                           std::move(bundle)});
-    } catch (const std::exception& e) {
-      outcomes[i].error = e.what();
-    } catch (...) {
-      outcomes[i].error = "unknown exception";
-    }
-  }
-  if (lanes.empty()) return outcomes;
-
-  bool batch_failed = false;
-  try {
-    std::vector<sim::SimEngine*> engines;
-    engines.reserve(lanes.size());
-    for (const Lane& lane : lanes) engines.push_back(lane.bundle.engine.get());
-    // All specs of one work unit share the integrator kind (the runner
-    // only groups batch_compatible rows), so the first lane's entry
-    // decides whether the lockstep rounds run data-parallel.
-    sim::BatchEngineOptions batch_opt;
-    const IntegratorEntry* entry = IntegratorRegistry::instance().find(
-        specs[lanes.front().spec_index].integrator.kind);
-    batch_opt.simd = entry != nullptr && entry->batch_simd;
-    sim::BatchEngine batch(std::move(engines), batch_opt);
-    std::vector<sim::SimResult> results = batch.run();
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      outcomes[lanes[k].spec_index].result = std::move(results[k]);
-      outcomes[lanes[k].spec_index].ok = true;
-    }
-  } catch (...) {
-    batch_failed = true;
-  }
-  if (batch_failed) {
-    // A mid-run throw poisons the whole lockstep group (the half-run
-    // engines cannot be resumed), so rerun every lane scalar from
-    // scratch: the healthy rows still complete and the diagnostic lands
-    // on the failing row alone.
-    for (const Lane& lane : lanes) {
-      SweepOutcome& out = outcomes[lane.spec_index];
-      try {
-        out.result = run_scenario(specs[lane.spec_index], assets);
-        out.ok = true;
-        out.error.clear();
-      } catch (const std::exception& e) {
-        out.error = e.what();
-      } catch (...) {
-        out.error = "unknown exception";
-      }
-    }
-  }
-  return outcomes;
 }
 
 namespace {

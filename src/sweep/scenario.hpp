@@ -240,35 +240,6 @@ struct SweepOutcome {
   double wall_s = 0.0;  ///< execution wall-clock (excluded from aggregates)
 };
 
-/// Lockstep batch width of a spec's integrator kind: the "width"
-/// parameter (default 8, floor 1) when the kind is batch-capable
-/// (IntegratorEntry::batch_capable), 0 when it is not (or the kind is
-/// unknown -- the hard error belongs to run_scenario). The runner groups
-/// up to this many adjacent compatible rows into one BatchEngine.
-std::size_t batch_width(const ScenarioSpec& spec);
-
-/// Whether two specs may share one lockstep batch: identical integrator,
-/// control and source selections, weather condition and PV mode -- i.e.
-/// rows that differ only along the remaining sweep axes (seed,
-/// capacitance, ...). Purely a grouping heuristic: batching never
-/// changes a row's bytes, so a stricter or looser predicate would be
-/// equally correct.
-bool batch_compatible(const ScenarioSpec& a, const ScenarioSpec& b);
-
-/// Runs a group of scenarios to completion in one lockstep
-/// sim::BatchEngine on the calling thread (the batched counterpart of
-/// run_scenario; the caller picks the group, normally adjacent
-/// batch_compatible rows capped at batch_width). Every lane's result is
-/// bit-identical to run_scenario on the same spec. Per-spec resolution
-/// failures are captured per spec -- one malformed row never sinks its
-/// batchmates -- and a mid-run failure falls back to re-running each
-/// lane scalar so the diagnostic lands on the failing row alone.
-/// Outcomes are returned in spec order with wall_s left 0 (the caller
-/// owns timing attribution).
-std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
-                                                std::size_t count,
-                                                ScenarioAssets& assets);
-
 /// Cartesian product of sweep axes over a base scenario. An empty axis
 /// means "hold the base value"; non-empty axes multiply. Expansion order
 /// is deterministic: sources (outermost), conditions, controls,

@@ -55,10 +55,10 @@ grep -q "valid: exact, tabulated" err.txt || \
 "$BIN" list >list.txt 2>&1 || fail "list exited non-zero"
 for needle in "pns" "gov:ondemand" "static" "solar" "shadow" "trace" \
               "flicker" "period=<double>" "up_threshold=<double>" \
-              "rk23" "rk23pi" "rk23batch" "coast=<bool>" "width=<uint>" \
-              "table2" "quick"; do
+              "rk23" "rk23pi" "coast=<bool>" "table2" "quick"; do
   grep -q "$needle" list.txt || fail "list: '$needle' missing"
 done
+grep -q "rk23batch\|rk23simd" list.txt && fail "list: retired integrator listed"
 
 # --- control/source spec-string diagnostics name the valid choices
 if "$BIN" quick --control warp-speed >out.txt 2>err.txt; then
@@ -90,25 +90,20 @@ grep -q "rtol" err.txt || fail "unknown integrator param: keys not listed"
   >/dev/null || fail "rk23pi threaded run failed"
 cmp -s pi.csv pi4.csv || fail "rk23pi CSV differs across thread counts"
 
-# --- rk23batch is an execution strategy over rk23pi: byte-identical
-# aggregates at every width and thread count, width=1 included
-"$BIN" quick --quiet --integrator rk23batch --csv bat.csv >/dev/null || \
-  fail "rk23batch run failed"
-"$BIN" quick --quiet --integrator rk23batch:width=1 --csv bat1.csv \
-  >/dev/null || fail "rk23batch width=1 run failed"
-"$BIN" quick --quiet --integrator rk23batch:width=4 --threads 4 \
-  --csv bat4.csv >/dev/null || fail "rk23batch width=4 threaded run failed"
-cmp -s pi.csv bat.csv || fail "rk23batch CSV differs from rk23pi"
-cmp -s pi.csv bat1.csv || fail "rk23batch width=1 CSV differs from rk23pi"
-cmp -s pi.csv bat4.csv || \
-  fail "rk23batch width=4/threads=4 CSV differs from rk23pi"
-
-# --- width is execution-only: journals interchange across widths
+# --- the retired rk23batch/rk23simd kinds are deprecated aliases of
+# rk23pi: same bytes, one stderr line, journals interchange
+"$BIN" quick --quiet --integrator rk23batch:width=4 --csv bat.csv \
+  >/dev/null 2>err.txt || fail "rk23batch alias run failed"
+cmp -s pi.csv bat.csv || fail "rk23batch alias CSV differs from rk23pi"
+[ "$(grep -c deprecated err.txt)" = 1 ] || \
+  fail "rk23batch alias: expected one deprecation line"
+"$BIN" quick --quiet --integrator rk23simd --csv simd.csv >/dev/null \
+  2>&1 || fail "rk23simd alias run failed"
+cmp -s pi.csv simd.csv || fail "rk23simd alias CSV differs from rk23pi"
 "$BIN" quick --quiet --integrator rk23batch:width=4 --journal w.jsonl \
-  >/dev/null || fail "journalled rk23batch run failed"
-"$BIN" quick --quiet --integrator rk23batch:width=8 --resume \
-  --journal w.jsonl >/dev/null || \
-  fail "journal not reusable across rk23batch widths"
+  >/dev/null 2>&1 || fail "journalled rk23batch alias run failed"
+"$BIN" quick --quiet --integrator rk23pi --resume --journal w.jsonl \
+  >/dev/null || fail "rk23batch alias journal not reusable under rk23pi"
 
 # --- a parameterized governor runs end-to-end from the CLI
 "$BIN" quick --quiet --control gov:ondemand:period=0.05 --control pns \

@@ -435,6 +435,53 @@ TEST(Rk23, DenseRootEarliestOfTwoEventsInOneStepWins) {
   EXPECT_NEAR(res.t, 0.35, 1e-5);
 }
 
+TEST(Rk23, DenseRootEventLeavesStateOnTheCrossedSide) {
+  // Mapping a dense-output root s -> t -> s through the interpolant can
+  // land the committed state an ulp short of the threshold; the next
+  // advance() would then re-arm the same event on the un-crossed side
+  // and fire it again at the same instant. The integrator snaps the
+  // state onto the threshold, so every fired event must leave the state
+  // on (or at) the crossed side. Hundreds of levels in both directions
+  // make the rounding land on both sides of the root.
+  class Quadratic : public OdeSystem {
+   public:
+    explicit Quadratic(double sign) : sign_(sign) {}
+    std::size_t dimension() const override { return 1; }
+    void derivatives(double, std::span<const double> y,
+                     std::span<double> dydt) const override {
+      dydt[0] = sign_ * (0.7 * y[0] + 0.05 * y[0] * y[0]);
+    }
+
+   private:
+    double sign_;
+  };
+  Rk23Options opt;
+  opt.step_control = StepControl::kPi;
+  opt.event_localization = EventLocalization::kDenseRoot;
+  opt.rel_tol = 1e-4;
+  opt.event_tol = 1e-7;
+  opt.max_step = 0.25;
+  for (const auto dir : {EventDirection::kFalling, EventDirection::kRising}) {
+    const bool falling = dir == EventDirection::kFalling;
+    const Quadratic sys(falling ? -1.0 : 1.0);
+    int fired = 0;
+    for (int k = 0; k < 500; ++k) {
+      const double level = falling ? 0.9 - 0.0016 * k : 1.1 + 0.0016 * k;
+      Rk23Integrator ig(sys, opt);
+      const double y0 = 1.0;
+      ig.reset(0.0, std::span<const double>(&y0, 1));
+      const auto ev = EventSpec::threshold(level, dir, 1);
+      if (!ig.advance(10.0, std::span<const EventSpec>(&ev, 1)).event_fired)
+        continue;
+      ++fired;
+      const double y = ig.state()[0];
+      EXPECT_TRUE(falling ? y <= level : y >= level)
+          << "level=" << level << " y=" << y;
+    }
+    EXPECT_EQ(fired, 500);
+  }
+}
+
 // ------------------------------------- cross-integrator circuit parity
 
 TEST(IntegratorParity, FixedRk23AndPiAgreeOnPaperCircuit) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "ehsim/pv_table.hpp"
 #include "ehsim/sources.hpp"
@@ -124,6 +125,65 @@ TEST(PvSource, ExactModeHasNoTable) {
   const PvSource source(paper_cell(), [](double) { return 900.0; });
   EXPECT_EQ(source.mode(), PvSource::Mode::kExact);
   EXPECT_EQ(source.table(), nullptr);
+}
+
+// Solve accounting: every current() call lands on exactly one path, and
+// the counters say which. pns_bench_report and the repository benchmark
+// attribute PV time through them.
+PvSource counted_source(PvSource::Mode mode) {
+  const SolarCell cell(SolarCellParams{2e-9, 1.6, 0.3, 200.0, 1.15, 1000.0});
+  auto irr = [](double t) { return t < 100.0 ? 800.0 : 30.0; };
+  if (mode == PvSource::Mode::kExact) return PvSource(cell, irr);
+  const PvTableSpec spec{.v_max = 7.0, .g_max = 1200.0, .nv = 17, .ng = 9};
+  return PvSource(cell, irr, std::make_shared<const PvTable>(cell, spec));
+}
+
+TEST(PvSource, SolveStatsCountEveryPath) {
+  for (const auto mode :
+       {PvSource::Mode::kExact, PvSource::Mode::kTabulated}) {
+    const PvSource source = counted_source(mode);
+    // A call sequence hitting memo (same v,t), cold solves (jumps), and
+    // -- in tabulated mode -- the table path plus the off-table Newton
+    // fallback (v beyond the table's 7 V edge) whose second call
+    // warm-starts from the first.
+    const double pts[][2] = {{5.3, 10.0}, {5.3, 10.0},  {5.31, 11.0},
+                             {2.0, 12.0}, {2.01, 13.0}, {5.3, 200.0},
+                             {5.3, 200.0}, {0.5, 201.0}, {7.5, 300.0},
+                             {7.52, 301.0}};
+    for (const auto& p : pts) source.current(p[0], p[1]);
+    const PvSolveStats& st = source.solve_stats();
+    EXPECT_EQ(st.calls, std::size(pts));
+    EXPECT_EQ(st.table_hits + st.memo_hits + st.newton_solves, st.calls);
+    EXPECT_GE(st.newton_iterations, st.newton_solves);
+    if (mode == PvSource::Mode::kExact) {
+      // Exact mode has no table, hence no off-table warm-start rule.
+      EXPECT_EQ(st.table_hits, 0u);
+      EXPECT_GT(st.newton_solves, 0u);
+      EXPECT_GT(st.memo_hits, 0u);
+      EXPECT_EQ(st.warm_starts, 0u);
+    } else {
+      EXPECT_GT(st.table_hits, 0u);
+      EXPECT_GT(st.newton_solves, 0u);
+      EXPECT_GT(st.warm_starts, 0u);
+    }
+  }
+}
+
+TEST(PvSource, SolveStatsAccumulate) {
+  PvSolveStats a;
+  a.calls = 3;
+  a.newton_solves = 2;
+  a.newton_iterations = 11;
+  PvSolveStats b;
+  b.calls = 5;
+  b.memo_hits = 4;
+  b.warm_starts = 1;
+  a += b;
+  EXPECT_EQ(a.calls, 8u);
+  EXPECT_EQ(a.memo_hits, 4u);
+  EXPECT_EQ(a.newton_solves, 2u);
+  EXPECT_EQ(a.newton_iterations, 11u);
+  EXPECT_EQ(a.warm_starts, 1u);
 }
 
 }  // namespace

@@ -172,9 +172,9 @@ TickTrace run_unelided(Governor& g, const soc::Platform& p, double util,
 }
 
 /// Elided run: mirrors the engine's elision loop (sim/engine.cpp,
-/// plan_segment) -- consult hold_until, quantise the hold onto the tick
-/// grid with the engine's kTimeEps, skip straight to the first tick that
-/// could act, decide there. Returns the ticks actually taken.
+/// SimEngine::governor_stop) -- consult hold_until, quantise the hold
+/// onto the tick grid with the engine's kTimeEps, skip straight to the
+/// first tick that could act, decide there. Returns the ticks actually taken.
 TickTrace run_elided(Governor& g, const soc::Platform& p, double util,
                      double period, double t_end) {
   constexpr double kTimeEps = 1e-9;  // sim/engine.cpp

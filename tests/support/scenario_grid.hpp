@@ -1,10 +1,9 @@
 // Seeded scenario-grid generator for differential tests.
 //
-// The batched-engine harnesses (tests/sim/test_batch_parity,
-// tests/ehsim/test_batch_fallback, tests/sweep) all need the same thing:
-// a reproducible population of *diverse* ScenarioSpecs -- different
-// controls, weather, seeds, capacitances, windows -- to drive two
-// execution strategies over and compare the outputs. This header builds
+// Differential tests (tests/sweep) need a reproducible population of
+// *diverse* ScenarioSpecs -- different controls, weather, seeds,
+// capacitances, windows -- to drive two integrators, thread counts or
+// platforms over and compare the outputs. This header builds
 // those grids from a single 64-bit seed (pns::Rng, so the draw is
 // bit-stable across platforms) and provides an exact whole-result
 // comparison: two SimResults are serialised through the sweep layer's
@@ -39,12 +38,12 @@ struct GridOptions {
   /// Restrict the control draw ("pns", "gov:ondemand", "static", ...);
   /// empty = the built-in mix below.
   std::vector<std::string> controls;
-  /// Integrator every spec runs under (the comparison harness swaps this
-  /// out per execution strategy).
+  /// Integrator every spec runs under (a comparison swaps this out per
+  /// leg).
   std::string integrator = "rk23pi";
   /// Platform draw ("mono", "biglittle:arbiter=demand", ...); empty =
   /// the default mono platform on every spec. Multi-domain entries give
-  /// the differential harnesses per-domain metrics to compare.
+  /// differential tests per-domain metrics to compare.
   std::vector<std::string> platforms;
 };
 
@@ -81,8 +80,7 @@ inline std::vector<sweep::ScenarioSpec> make_scenario_grid(
     // harvest to regulate against; jitter start and span. A fraction
     // start at night instead: with no harvest the cap drains to
     // brownout, and the dead span that follows is exactly the quiescent
-    // state the engines coast across (lane retirement in the batched
-    // engine).
+    // state rk23pi coasts across.
     s.t_start = rng.bernoulli(0.25) ? 3600.0 * rng.uniform(0.0, 3.0)
                                     : 3600.0 * rng.uniform(9.0, 15.0);
     s.t_end = s.t_start + rng.uniform(opt.min_window_s, opt.max_window_s);
@@ -98,13 +96,12 @@ inline std::vector<sweep::ScenarioSpec> make_scenario_grid(
   return specs;
 }
 
-/// Newton-stress variant: specs engineered to hammer the PV solve paths
-/// the packed SIMD kernels accelerate, where bit-divergence would be most
-/// likely to hide. Dawn/dusk starts put the irradiance ramp right at the
+/// Newton-stress variant: specs engineered to hammer the PV solve paths,
+/// where numeric divergence would be most likely to hide. Dawn/dusk starts put the irradiance ramp right at the
 /// solve's hard region (tiny photo-currents, long cold Newton runs);
 /// near-brownout starting voltages make the span stiff (events, rejected
-/// steps, divergence tails); and a fraction of lanes run tabulated-mode
-/// PV so batches mix bilinear lookups, Newton solves and memo hits.
+/// steps, divergence tails); and a fraction of specs run tabulated-mode
+/// PV so a grid mixes bilinear lookups, Newton solves and memo hits.
 /// Same purity contract as make_scenario_grid.
 inline std::vector<sweep::ScenarioSpec> make_newton_stress_grid(
     std::uint64_t seed, const GridOptions& opt = {}) {

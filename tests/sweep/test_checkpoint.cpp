@@ -531,42 +531,38 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
                JournalError);
 }
 
-TEST(SweepRunnerResume, BatchWidthIsExecutionOnlyInTheIdentity) {
-  // rk23batch's `width` shapes execution, not results (the batched
-  // engine is bit-identical at every width), so sweep_identity strips
-  // it: journals written at one width are interchangeable with runs at
-  // any other. Result-shaping params (rtol, ...) still pin.
+TEST(SweepRunnerResume, RetiredBatchKindJournalResumesUnderRk23Pi) {
+  // Journals written under the retired rk23batch/rk23simd kinds pin
+  // "&integrator=rk23batch" (width was never part of the identity).
+  // Those kinds wrote rk23pi's bytes, so journal reading maps the name
+  // and the journal resumes under rk23pi with every row reused.
   const auto mode = ehsim::PvSource::Mode::kExact;
-  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23batch:width=4")),
-            "quick?minutes=2&pv=exact&integrator=rk23batch");
-  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23batch:width=8")),
-            sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23batch")));
-  EXPECT_EQ(
-      sweep_identity("quick", 2.0, mode, {}, {},
-                     IntegratorSpec::parse("rk23batch:width=4,rtol=0.001")),
-      "quick?minutes=2&pv=exact&integrator=rk23batch:rtol=0.001");
+  auto sw = small_sweep();
+  sw.base.integrator = IntegratorSpec::parse("rk23pi");
+  const auto specs = sw.expand();
+  TempFile file("pns-retired-kind");
+  runner_with(1).resume(specs, file.path(),
+                        "small?minutes=0.5&pv=exact&integrator=rk23batch");
 
-  // A journal fully written under width=4 resumes under width=8 with
-  // every row reused.
-  auto sw4 = small_sweep();
-  sw4.base.integrator = IntegratorSpec::parse("rk23batch:width=4");
-  const std::string id4 = sweep_identity("small", 0.5, mode, {}, {},
-                                         sw4.base.integrator);
-  TempFile file("pns-batch-width");
-  runner_with(1).resume(sw4.expand(), file.path(), id4);
-
-  auto sw8 = small_sweep();
-  sw8.base.integrator = IntegratorSpec::parse("rk23batch:width=8");
-  const auto specs8 = sw8.expand();
-  const std::string id8 = sweep_identity("small", 0.5, mode, {}, {},
-                                         sw8.base.integrator);
-  EXPECT_EQ(id4, id8);
-  const auto report = runner_with(1).resume(specs8, file.path(), id8);
-  EXPECT_EQ(report.reused, specs8.size());
+  const std::string id =
+      sweep_identity("small", 0.5, mode, {}, {}, sw.base.integrator);
+  EXPECT_EQ(id, "small?minutes=0.5&pv=exact&integrator=rk23pi");
+  EXPECT_EQ(read_journal(file.path()).header.sweep, id);
+  const auto report = runner_with(1).resume(specs, file.path(), id);
+  EXPECT_EQ(report.reused, specs.size());
   EXPECT_EQ(report.executed, 0u);
+}
+
+TEST(Journal, RetiredIntegratorNamesMapToRk23PiOnRead) {
+  TempFile file("pns-retired-header");
+  JournalWriter::create(
+      file.path(),
+      {"quick?minutes=2&pv=exact&integrator=rk23simd:rtol=0.001&platform="
+       "biglittle",
+       3});
+  EXPECT_EQ(read_journal(file.path()).header.sweep,
+            "quick?minutes=2&pv=exact&integrator=rk23pi:rtol=0.001&platform="
+            "biglittle");
 }
 
 TEST(SweepRunnerResume, JournalFromDifferentSweepRejected) {

@@ -6,10 +6,9 @@
 // The two contracts pinned here: (1) the default platform is
 // byte-invisible -- an explicit "mono" run and a default run produce
 // identical canonical metrics, and the journal identity omits the
-// platform key entirely; (2) multi-domain runs are execution-strategy
-// independent -- the rk23batch lanes reproduce the scalar rk23pi
-// per-domain metrics bit for bit.
-#include <algorithm>
+// platform key entirely; (2) multi-domain runs publish per-domain
+// metrics that are independent of the runner's thread count, bit for
+// bit.
 #include <cstddef>
 #include <sstream>
 #include <string>
@@ -23,6 +22,7 @@
 #include "sweep/assets.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/registry.hpp"
+#include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
 #include "util/json.hpp"
 #include "util/params.hpp"
@@ -210,9 +210,9 @@ TEST(SummaryRow, DomainsSurviveTheJsonRoundTrip) {
   }
 }
 
-// ------------------------------------------------------ batch parity
+// ------------------------------------------------------ determinism
 
-TEST(PlatformAxis, MultiDomainBatchLanesMatchScalarExactly) {
+TEST(PlatformAxis, MultiDomainRowsIdenticalAcrossThreadCounts) {
   GridOptions opt;
   opt.count = 8;
   opt.max_window_s = 60.0;
@@ -223,30 +223,24 @@ TEST(PlatformAxis, MultiDomainBatchLanesMatchScalarExactly) {
                   "mdgov:ondemand:stagger=2", "static"};
   const auto specs = make_scenario_grid(0xD0A1A1ull, opt);
 
-  // Scalar reference under rk23pi.
-  std::vector<std::string> ref;
-  ScenarioAssets assets;
-  for (ScenarioSpec spec : specs) {
-    spec.integrator = IntegratorSpec::parse("rk23pi");
-    ref.push_back(canonical_metrics(spec, run_scenario(spec, assets)));
-    // Every reference row must actually carry per-domain metrics,
-    // otherwise this parity test is comparing empty arrays.
-    EXPECT_NE(ref.back().find("\"domains\""), std::string::npos);
-  }
-
-  // Batched lanes under rk23batch, width 4.
-  std::vector<ScenarioSpec> batched = specs;
-  for (auto& spec : batched)
-    spec.integrator = IntegratorSpec::parse("rk23batch:width=4");
-  for (std::size_t begin = 0; begin < batched.size(); begin += 4) {
-    const std::size_t n = std::min<std::size_t>(4, batched.size() - begin);
-    const auto outcomes =
-        run_scenarios_batched(batched.data() + begin, n, assets);
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_TRUE(outcomes[k].ok) << outcomes[k].error;
-      EXPECT_EQ(canonical_metrics(outcomes[k]), ref[begin + k])
-          << specs[begin + k].label;
+  auto canonical_rows = [&](unsigned threads) {
+    SweepRunnerOptions ro;
+    ro.threads = threads;
+    std::vector<std::string> rows;
+    for (const SweepOutcome& out : SweepRunner(ro).run(specs)) {
+      EXPECT_TRUE(out.ok) << out.error;
+      rows.push_back(canonical_metrics(out));
     }
+    return rows;
+  };
+  const auto serial = canonical_rows(1);
+  const auto threaded = canonical_rows(4);
+  ASSERT_EQ(serial.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    // Every row must actually carry per-domain metrics, otherwise this
+    // test is comparing empty arrays.
+    EXPECT_NE(serial[i].find("\"domains\""), std::string::npos);
+    EXPECT_EQ(threaded[i], serial[i]) << specs[i].label;
   }
 }
 

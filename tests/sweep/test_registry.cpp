@@ -127,6 +127,20 @@ TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
   EXPECT_DOUBLE_EQ(tightened.rel_tol, 1e-7);
 }
 
+TEST(Registry, RetiredIntegratorKindsParseAsRk23Pi) {
+  // rk23batch and rk23simd wrote rk23pi's bytes; for one round they parse
+  // to rk23pi, dropping only their lockstep width.
+  for (const std::string kind : {"rk23batch", "rk23simd"}) {
+    EXPECT_EQ(IntegratorSpec::parse(kind), IntegratorSpec::parse("rk23pi"));
+    EXPECT_EQ(IntegratorSpec::parse(kind + ":width=4,rtol=0.001"),
+              IntegratorSpec::parse("rk23pi:rtol=0.001"));
+    EXPECT_THROW(IntegratorSpec::parse(kind + ":width=wide"), ParamError);
+    EXPECT_THROW(IntegratorSpec::parse(kind + ":bogus=1"), ParamError);
+    EXPECT_EQ(IntegratorRegistry::instance().find(kind), nullptr);
+  }
+  EXPECT_THROW(IntegratorSpec::parse("rk23pi:width=4"), ParamError);
+}
+
 // ------------------------------------------------------------ diagnostics
 
 TEST(Registry, UnknownKindsNameTheValidChoices) {

@@ -2,16 +2,16 @@
 //
 // Executes the google-benchmark micro suite (bench_micro_hotpaths, when it
 // was built) plus wall-clock timings of the `table2` sweep -- exact and
-// tabulated PV, the rk23pi / rk23batch / rk23simd integrators (with the
-// PV implicit-solve accounting: iteration counts, memo/table hit rates
-// and the packed-lane fraction), an asset-reuse A/B, the same sweep
+// tabulated PV, the rk23pi integrator (with the PV implicit-solve
+// accounting: iteration counts, memo/table hit rates and warm starts),
+// an asset-reuse A/B, the same sweep
 // on the 2-domain biglittle platform (the joint-ladder dispatch tax), and
 // the sweep daemon's dispatch overhead (the same sweep through an
 // in-process pns_sweepd with 4 local socket workers versus a plain
 // 4-thread run) -- and writes one JSON document (BENCH_<n>.json) that
 // future PRs append to -- the repo's record that the hot path stays fast:
 //
-//   pns_bench_report                        # full run, writes BENCH_10.json
+//   pns_bench_report                        # full run, writes BENCH_12.json
 //   pns_bench_report --quick --out q.json   # CI smoke (~seconds)
 //
 // scripts/check_bench_regression.py diffs a fresh report against the
@@ -48,7 +48,7 @@ namespace {
 using namespace pns;
 
 struct Options {
-  std::string out_path = "BENCH_10.json";
+  std::string out_path = "BENCH_12.json";
   std::string bench_bin;  // empty = <dir of argv[0]>/bench_micro_hotpaths
   double minutes = 60.0;
   unsigned threads = 0;
@@ -130,7 +130,7 @@ struct SweepTiming {
   std::size_t failed = 0;
   unsigned threads = 0;
   /// PV implicit-solve accounting summed over the sweep's runs -- where
-  /// the time goes and what fraction the packed kernels took.
+  /// the time goes.
   ehsim::PvSolveStats pv;
 };
 
@@ -286,15 +286,12 @@ void write_sweep(JsonWriter& w, const SweepTiming& t) {
     w.kv("newton_solves", t.pv.newton_solves);
     w.kv("newton_iterations", t.pv.newton_iterations);
     w.kv("warm_starts", t.pv.warm_starts);
-    w.kv("simd_lanes", t.pv.simd_lanes);
     w.kv("iters_per_solve",
          solves > 0.0 ? static_cast<double>(t.pv.newton_iterations) / solves
                       : 0.0);
     w.kv("memo_hit_rate",
          static_cast<double>(t.pv.memo_hits) /
              static_cast<double>(t.pv.calls));
-    w.kv("simd_lane_fraction",
-         solves > 0.0 ? static_cast<double>(t.pv.simd_lanes) / solves : 0.0);
     w.end_object();
   }
   w.end_object();
@@ -305,7 +302,7 @@ void print_pv(const char* label, const SweepTiming& t) {
   const double solves = static_cast<double>(t.pv.newton_solves);
   std::printf(
       "pv solve %-10s %10llu calls: %5.1f%% memo, %5.1f%% table, "
-      "%llu newton (%.2f iters/solve, %5.1f%% warm, %5.1f%% packed)\n",
+      "%llu newton (%.2f iters/solve, %5.1f%% warm)\n",
       label, static_cast<unsigned long long>(t.pv.calls),
       100.0 * static_cast<double>(t.pv.memo_hits) /
           static_cast<double>(t.pv.calls),
@@ -315,8 +312,6 @@ void print_pv(const char* label, const SweepTiming& t) {
       solves > 0.0 ? static_cast<double>(t.pv.newton_iterations) / solves
                    : 0.0,
       solves > 0.0 ? 100.0 * static_cast<double>(t.pv.warm_starts) / solves
-                   : 0.0,
-      solves > 0.0 ? 100.0 * static_cast<double>(t.pv.simd_lanes) / solves
                    : 0.0);
 }
 
@@ -325,7 +320,7 @@ void usage(const char* argv0) {
       "usage: %s [options]\n"
       "\n"
       "options:\n"
-      "  --out PATH       output JSON path (default BENCH_10.json)\n"
+      "  --out PATH       output JSON path (default BENCH_12.json)\n"
       "  --bench-bin P    micro-benchmark binary (default: next to this "
       "binary)\n"
       "  --minutes M      simulated window of the table2 timing "
@@ -394,14 +389,6 @@ int main(int argc, char** argv) {
                opt.minutes);
   const auto pi =
       time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23pi");
-  std::fprintf(stderr, "timing table2 sweep (rk23batch, %.0f min)...\n",
-               opt.minutes);
-  const auto batch =
-      time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23batch");
-  std::fprintf(stderr, "timing table2 sweep (rk23simd, %.0f min)...\n",
-               opt.minutes);
-  const auto simd =
-      time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23simd");
   std::fprintf(stderr,
                "timing table2 sweep (exact PV, no asset reuse, %.0f "
                "min)...\n",
@@ -442,10 +429,6 @@ int main(int argc, char** argv) {
   write_sweep(w, tab);
   w.key("rk23pi");
   write_sweep(w, pi);
-  w.key("rk23batch");
-  write_sweep(w, batch);
-  w.key("rk23simd");
-  write_sweep(w, simd);
   w.key("exact_no_asset_reuse");
   write_sweep(w, no_reuse);
   w.end_object();
@@ -497,22 +480,15 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", opt.out_path.c_str());
   std::printf("table2 exact: %.2f s wall (%.0fx realtime); tabulated: "
               "%.2f s wall (%.0fx realtime); rk23pi: %.2f s wall "
-              "(%.0fx realtime); rk23batch: %.2f s wall (%.0fx realtime); "
-              "rk23simd: %.2f s wall (%.0fx realtime); "
-              "no asset reuse: %.2f s wall\n",
+              "(%.0fx realtime); no asset reuse: %.2f s wall\n",
               exact.wall_s,
               exact.wall_s > 0 ? exact.simulated_s / exact.wall_s : 0.0,
               tab.wall_s, tab.wall_s > 0 ? tab.simulated_s / tab.wall_s : 0.0,
               pi.wall_s, pi.wall_s > 0 ? pi.simulated_s / pi.wall_s : 0.0,
-              batch.wall_s,
-              batch.wall_s > 0 ? batch.simulated_s / batch.wall_s : 0.0,
-              simd.wall_s,
-              simd.wall_s > 0 ? simd.simulated_s / simd.wall_s : 0.0,
               no_reuse.wall_s);
   print_pv("exact:", exact);
   print_pv("tabulated:", tab);
   print_pv("rk23pi:", pi);
-  print_pv("rk23simd:", simd);
   std::printf("table2 biglittle: %.2f s wall (%.0fx realtime)\n",
               biglittle.wall_s,
               biglittle.wall_s > 0
@@ -524,8 +500,7 @@ int main(int argc, char** argv) {
                 dispatch.daemon.wall_s, dispatch.workers,
                 dispatch.in_process.wall_s, dispatch.overhead_per_row_ms);
   const bool sweeps_ok = exact.failed == 0 && tab.failed == 0 &&
-                         pi.failed == 0 && batch.failed == 0 &&
-                         simd.failed == 0 && no_reuse.failed == 0 &&
+                         pi.failed == 0 && no_reuse.failed == 0 &&
                          biglittle.failed == 0 && dispatch.ok &&
                          dispatch.daemon.failed == 0;
   return sweeps_ok ? 0 : 1;

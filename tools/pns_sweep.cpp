@@ -153,11 +153,9 @@ void usage(const char* argv0) {
       "                or tabulated (interpolation table with a measured\n"
       "                error bound, ~3x faster sweep wall-clock)\n"
       "  --integrator S  integration engine spec string: rk23 (default,\n"
-      "                bit-reproducible), rk23pi[:rtol=...,coast=...]\n"
+      "                bit-reproducible) or rk23pi[:rtol=...,coast=...]\n"
       "                (PI step control + dense events + coasting, ~2x\n"
-      "                faster), or rk23batch[:width=...] (rk23pi in\n"
-      "                lockstep batches, bit-identical to rk23pi at\n"
-      "                every width; docs/performance.md has the grammar)\n"
+      "                faster; docs/performance.md has the grammar)\n"
       "  --platform S  platform topology spec string: mono (default,\n"
       "                the paper's single-domain board) or a multi-domain\n"
       "                kind such as biglittle[:little_cores=4,big_cores=4,\n"
@@ -633,8 +631,15 @@ int main(int argc, char** argv) {
           opt.controls.push_back(sweep::ControlSpec::parse(spec));
         else if (arg == "--source")
           opt.sources.push_back(sweep::SourceSpec::parse(spec));
-        else if (arg == "--integrator")
+        else if (arg == "--integrator") {
           opt.integrator = sweep::IntegratorSpec::parse(spec);
+          const std::string typed = split_spec_string(spec).kind;
+          if (opt.integrator.kind != typed)
+            std::fprintf(stderr,
+                         "warning: integrator '%s' is deprecated and runs "
+                         "as '%s'\n",
+                         typed.c_str(), opt.integrator.kind.c_str());
+        }
         else
           opt.platform = sweep::PlatformSpec::parse(spec);
       } catch (const std::exception& e) {
