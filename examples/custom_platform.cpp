@@ -63,6 +63,7 @@ int main() {
       .off_power_w = 0.5e-3,
       .hotplug_stall = 0.3,
       .dvfs_stall = 0.05,
+      .domains = nullptr,
   };
 
   // --- a 60 cm^2 panel and broken clouds --------------------------------
@@ -91,6 +92,12 @@ int main() {
   // Rescale the monitor divider for the 3.0-4.2 V node (threshold range
   // ~2.9-4.4 V instead of the XU4 default ~3.9-6.1 V).
   cfg.monitor_network.r_top = 330.0e3;
+  // A 60 mV window on a 3.6 V node is narrow against the default rtol
+  // (1e-4, ~0.4 mV per step). At that tolerance this hour has two
+  // regimes, and step-level noise picks one of them: one extra brownout
+  // moves time-in-band from ~26 % to ~78 %. From rtol 1e-5 down, every
+  // engine agrees on the converged answer.
+  cfg.rel_tol = 1e-6;
 
   // Controller parameters rescaled to the narrower 3.0-4.2 V window, and
   // the tracking window anchored at the panel's MPP (cf. the paper's

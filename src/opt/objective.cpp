@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "sweep/journal.hpp"
 #include "util/json.hpp"
 
 namespace pns::opt {
@@ -110,7 +111,8 @@ std::vector<double> SweepStabilityObjective::operator()(
         "&pv=" +
         (base_.pv_mode == ehsim::PvSource::Mode::kExact ? "exact"
                                                         : "tabulated") +
-        "&platform=" + base_.platform.name;
+        "&platform=" + base_.platform.name +
+        sweep::integrator_identity(base_.integrator);
     rows = runner.resume(specs, options_.journal_path, identity).rows;
   }
   for (std::size_t i = 0; i < rows.size(); ++i)

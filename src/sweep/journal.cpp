@@ -433,6 +433,16 @@ void write_canonical_journal(
       });
 }
 
+std::string integrator_identity(const IntegratorSpec& integrator) {
+  // A bare rk23 is the implicit integrator: it was the default when
+  // identities were introduced, so journals written by default runs
+  // before rk23pi took over resume under `--integrator rk23` and are
+  // refused by a default run. Every other spec, the default included, is
+  // spelled.
+  if (integrator.kind == "rk23" && integrator.params.empty()) return "";
+  return "&integrator=" + integrator.spec_string();
+}
+
 std::string sweep_identity(const std::string& sweep_name, double minutes,
                            ehsim::PvSource::Mode pv_mode,
                            const std::vector<ControlSpec>& controls,
@@ -445,10 +455,7 @@ std::string sweep_identity(const std::string& sweep_name, double minutes,
                                                              : "tabulated");
   for (const auto& c : controls) id += "&control=" + c.spec_string();
   for (const auto& s : sources) id += "&source=" + s.spec_string();
-  // The default integrator is omitted (it computes identically whether
-  // spelled out or not), so pre-existing journal identities stay valid.
-  if (integrator != IntegratorSpec{})
-    id += "&integrator=" + integrator.spec_string();
+  id += integrator_identity(integrator);
   // The default "mono" platform is likewise omitted, keeping every
   // pre-existing journal identity valid; any other topology changes the
   // computed bytes, so its full spec string pins the identity.

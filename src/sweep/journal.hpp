@@ -191,16 +191,21 @@ void write_canonical_journal(const std::string& path,
                              const JournalHeader& header,
                              const std::map<std::size_t, SummaryRow>& rows);
 
+/// The integrator's part of a journal identity: "" for a bare "rk23" (the
+/// implicit engine of every identity written while it was the default),
+/// "&integrator=<spec string>" for every other spec, the default "rk23pi"
+/// included. Shared by sweep_identity and the opt layer's journals.
+std::string integrator_identity(const IntegratorSpec& integrator);
+
 /// Canonical identity string of a sweep invocation, used as
 /// JournalHeader::sweep by the pns_sweep CLI: the preset name plus every
 /// knob that changes what the scenarios compute -- the window length, the
 /// PV mode, the full spec strings of any --control/--source overrides,
-/// and the integrator (appended only when it differs from the default
-/// "rk23", which computes identically whether spelled or omitted) and
-/// the platform (appended only when it differs from the default "mono",
-/// for the same reason). A resume whose overrides differ therefore fails
-/// the header match instead of silently mixing differently-parameterised
-/// rows.
+/// the integrator (integrator_identity: a header without "&integrator="
+/// always means rk23) and the platform (appended only when it differs
+/// from the default "mono", which computes identically whether spelled or
+/// omitted). A resume whose overrides differ therefore fails the header
+/// match instead of silently mixing differently-parameterised rows.
 std::string sweep_identity(const std::string& sweep_name, double minutes,
                            ehsim::PvSource::Mode pv_mode,
                            const std::vector<ControlSpec>& controls,

@@ -89,7 +89,7 @@ sim::SimConfig make_sim_config(const ScenarioSpec& spec) {
   cfg.record_interval_s = spec.record_interval_s;
   cfg.initial_opp = spec.initial_opp;
   // The integrator kind rewrites the numerics last, so its overrides win
-  // over the scenario defaults ("rk23" with no params is the identity).
+  // over the scenario defaults ("rk23pi" with no params is the identity).
   resolve_integrator(spec, cfg);
   return cfg;
 }

@@ -85,13 +85,14 @@ struct SourceSpec {
 /// meaning "is a shadowing source" whatever the parameters say.
 bool operator==(const SourceSpec& spec, SourceKind kind);
 
-/// Open integrator selection: a registry kind ("rk23" -- the original
-/// engine, bit-for-bit -- or "rk23pi" -- PI step control, dense-output
-/// event roots and steady-state coasting) plus numeric overrides, e.g.
+/// Open integrator selection: a registry kind ("rk23pi" -- the default:
+/// PI step control, dense-output event roots and steady-state coasting at
+/// sim::SimConfig{}'s numerics -- or "rk23" -- the legacy engine,
+/// bit-for-bit) plus numeric overrides, e.g.
 /// "rk23pi:rtol=1e-05,coast=false". Resolved by make_sim_config through
 /// the integrator registry (sweep/registry.hpp).
 struct IntegratorSpec {
-  std::string kind = "rk23";
+  std::string kind = "rk23pi";
   ParamMap params;
 
   /// Round-trippable "kind" / "kind:key=value,..." form.

@@ -161,8 +161,22 @@ cmp -s ref.csv resumed.csv || fail "resumed CSV differs from single-run CSV"
   fail "journal reused across differing --minutes"
 
 # --- a journal under a different --integrator is refused
-"$BIN" quick --quiet --integrator rk23pi --resume --journal r.jsonl \
+"$BIN" quick --quiet --integrator rk23 --resume --journal r.jsonl \
   2>err.txt && fail "journal reused across differing --integrator"
+
+# --- a bare rk23 run journals without "&integrator=", as every default
+# run did before rk23pi became the default: such a journal is refused by
+# a default run and fully reused under --integrator rk23
+"$BIN" quick --quiet --integrator rk23 --journal old.jsonl --csv old.csv \
+  >/dev/null || fail "rk23 journalled run failed"
+grep -q "integrator=" old.jsonl && fail "bare rk23 identity spells the integrator"
+"$BIN" quick --quiet --resume --journal old.jsonl >/dev/null 2>err.txt && \
+  fail "rk23-era journal resumed under the default integrator"
+"$BIN" quick --quiet --integrator rk23 --resume --journal old.jsonl \
+  --csv old_resumed.csv >old_resume.txt || fail "rk23 journal resume failed"
+grep -q "12 resumed from journal" old_resume.txt || \
+  fail "rk23 journal resume re-simulated scenarios"
+cmp -s old.csv old_resumed.csv || fail "rk23 resumed CSV differs"
 
 # --- compact: rewritten journal resumes byte-identically
 "$BIN" quick --quiet --journal c.jsonl >/dev/null || fail "compact prep run failed"

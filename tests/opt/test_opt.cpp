@@ -209,6 +209,14 @@ TEST(SweepStabilityObjective, JournalCheckpointsEvaluations) {
   other.seed = base.seed + 1;
   const SweepStabilityObjective mismatched(other, oopt);
   EXPECT_THROW(mismatched(candidates), sweep::JournalError);
+
+  // So must a different integrator: a journal of the legacy rk23 engine
+  // (the default when such journals were first written) never answers
+  // for the default rk23pi.
+  sweep::ScenarioSpec legacy = base;
+  legacy.integrator = sweep::IntegratorSpec::parse("rk23");
+  const SweepStabilityObjective other_engine(legacy, oopt);
+  EXPECT_THROW(other_engine(candidates), sweep::JournalError);
   std::filesystem::remove(tmp);
 }
 

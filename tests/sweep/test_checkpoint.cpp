@@ -497,12 +497,18 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
       {SourceSpec::parse("flicker:period=30,depth=0.5")});
   EXPECT_EQ(original,
             "quick?minutes=2&pv=exact&control=gov:ondemand:period=0.05"
-            "&source=flicker:period=30,depth=0.5");
-  // The default integrator is omitted (identical computation); any other
-  // integrator spec is pinned.
+            "&source=flicker:period=30,depth=0.5&integrator=rk23pi");
+  // A bare rk23 is the implicit integrator (the default when identities
+  // were introduced); every other spec, the default rk23pi included, is
+  // pinned.
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
                            IntegratorSpec::parse("rk23")),
             "quick?minutes=2&pv=exact");
+  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {}, IntegratorSpec{}),
+            "quick?minutes=2&pv=exact&integrator=rk23pi");
+  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
+                           IntegratorSpec::parse("rk23:rtol=1e-07")),
+            "quick?minutes=2&pv=exact&integrator=rk23:rtol=1e-07");
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
                            IntegratorSpec::parse("rk23pi:rtol=0.001")),
             "quick?minutes=2&pv=exact&integrator=rk23pi:rtol=0.001");
@@ -529,6 +535,34 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
       {});
   EXPECT_THROW(runner_with(1).resume(specs, file.path(), no_source),
                JournalError);
+}
+
+TEST(SweepRunnerResume, Rk23EraDefaultJournalResumesOnlyUnderRk23) {
+  // While rk23 was the default, a default run's journal identity carried
+  // no "&integrator=" at all. Such a journal must never resume under
+  // today's default (rk23pi would silently mix two engines' rows), and
+  // must be fully reusable under an explicit rk23.
+  const auto mode = ehsim::PvSource::Mode::kExact;
+  auto sw = small_sweep();
+  sw.base.integrator = IntegratorSpec::parse("rk23");
+  const auto rk23_specs = sw.expand();
+  const std::string rk23_id =
+      sweep_identity("small", 0.5, mode, {}, {}, sw.base.integrator);
+  EXPECT_EQ(rk23_id, "small?minutes=0.5&pv=exact");
+  TempFile file("pns-rk23-era");
+  const auto written = runner_with(1).resume(rk23_specs, file.path(), rk23_id);
+
+  sw.base.integrator = IntegratorSpec{};
+  const std::string default_id =
+      sweep_identity("small", 0.5, mode, {}, {}, sw.base.integrator);
+  EXPECT_NE(default_id, rk23_id);
+  EXPECT_THROW(runner_with(1).resume(sw.expand(), file.path(), default_id),
+               JournalError);
+
+  const auto report = runner_with(1).resume(rk23_specs, file.path(), rk23_id);
+  EXPECT_EQ(report.reused, rk23_specs.size());
+  EXPECT_EQ(report.executed, 0u);
+  EXPECT_EQ(csv_of(report.rows), csv_of(written.rows));
 }
 
 TEST(SweepRunnerResume, RetiredBatchKindJournalResumesUnderRk23Pi) {

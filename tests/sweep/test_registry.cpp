@@ -95,21 +95,56 @@ TEST(Registry, EveryIntegratorKindRoundTripsItsSpecString) {
   }
 }
 
-TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
-  auto spec = tiny_solar_spec();
-  const auto default_cfg = make_sim_config(spec);
-  EXPECT_EQ(default_cfg.step_control, ehsim::StepControl::kClamped);
-  EXPECT_FALSE(default_cfg.coast);
+// Every SimConfig field an integrator kind may set, compared exactly.
+void expect_numerics(const sim::SimConfig& got, const sim::SimConfig& want,
+                     const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.max_segment_s, want.max_segment_s);
+  EXPECT_EQ(got.max_ode_step_s, want.max_ode_step_s);
+  EXPECT_EQ(got.rel_tol, want.rel_tol);
+  EXPECT_EQ(got.abs_tol, want.abs_tol);
+  EXPECT_EQ(got.step_control, want.step_control);
+  EXPECT_EQ(got.event_localization, want.event_localization);
+  EXPECT_EQ(got.coast, want.coast);
+  EXPECT_EQ(got.coast_dv_tol_v, want.coast_dv_tol_v);
+  EXPECT_EQ(got.gov_tick_elide, want.gov_tick_elide);
+}
 
+TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
+  // Bare rk23 is the byte-pinned legacy leg: exactly the numerics every
+  // SimConfig carried while it was the default engine.
+  sim::SimConfig legacy;
+  legacy.max_segment_s = 0.05;
+  legacy.max_ode_step_s = 0.01;
+  legacy.rel_tol = 1e-6;
+  legacy.abs_tol = 1e-8;
+  legacy.step_control = ehsim::StepControl::kClamped;
+  legacy.event_localization = ehsim::EventLocalization::kBisection;
+  legacy.coast = false;
+  legacy.coast_dv_tol_v = 1e-4;
+  legacy.gov_tick_elide = false;
+  auto spec = tiny_solar_spec();
+  spec.integrator = IntegratorSpec::parse("rk23");
+  expect_numerics(make_sim_config(spec), legacy, "bare rk23");
+
+  // The default spec is rk23pi, whose numerics are SimConfig{}'s -- the
+  // sweep path and the direct sim:: path share one default.
+  sim::SimConfig pi;
+  pi.max_segment_s = 0.25;
+  pi.max_ode_step_s = 0.25;
+  pi.rel_tol = 1e-4;
+  pi.abs_tol = 1e-8;
+  pi.step_control = ehsim::StepControl::kPi;
+  pi.event_localization = ehsim::EventLocalization::kDenseRoot;
+  pi.coast = true;
+  pi.coast_dv_tol_v = 1e-4;
+  pi.gov_tick_elide = true;
+  expect_numerics(sim::SimConfig{}, pi, "SimConfig{}");
+  EXPECT_EQ(IntegratorSpec{}.kind, "rk23pi");
+  spec.integrator = IntegratorSpec{};
+  expect_numerics(make_sim_config(spec), pi, "default spec");
   spec.integrator = IntegratorSpec::parse("rk23pi");
-  const auto pi_cfg = make_sim_config(spec);
-  EXPECT_EQ(pi_cfg.step_control, ehsim::StepControl::kPi);
-  EXPECT_EQ(pi_cfg.event_localization,
-            ehsim::EventLocalization::kDenseRoot);
-  EXPECT_TRUE(pi_cfg.coast);
-  EXPECT_DOUBLE_EQ(pi_cfg.rel_tol, 1e-4);
-  EXPECT_DOUBLE_EQ(pi_cfg.max_segment_s, 0.25);
-  EXPECT_DOUBLE_EQ(pi_cfg.max_ode_step_s, 0.25);
+  expect_numerics(make_sim_config(spec), pi, "bare rk23pi");
 
   spec.integrator = IntegratorSpec::parse(
       "rk23pi:rtol=1e-05,seg=0.1,coast=false");

@@ -337,7 +337,7 @@ TEST(RunScenario, Rk23PiStaysWithinToleranceOfRk23Reference) {
 
   ScenarioAssets assets;
   for (auto& spec : specs) {
-    spec.integrator = IntegratorSpec{};  // rk23, the published reference
+    spec.integrator = IntegratorSpec::parse("rk23");  // the legacy reference
     const SummaryRow exact = summarize(
         SweepOutcome{spec, run_scenario(spec, assets), true, "", 0.0});
     spec.integrator = IntegratorSpec::parse("rk23pi");

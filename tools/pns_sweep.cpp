@@ -152,10 +152,12 @@ void usage(const char* argv0) {
       "  --pv-mode M   PV solve mode: exact (default, bit-reproducible)\n"
       "                or tabulated (interpolation table with a measured\n"
       "                error bound, ~3x faster sweep wall-clock)\n"
-      "  --integrator S  integration engine spec string: rk23 (default,\n"
-      "                bit-reproducible) or rk23pi[:rtol=...,coast=...]\n"
-      "                (PI step control + dense events + coasting, ~2x\n"
-      "                faster; docs/performance.md has the grammar)\n"
+      "  --integrator S  integration engine spec string: rk23pi\n"
+      "                [:rtol=...,seg=...,coast=...] (default; PI step\n"
+      "                control + dense events + coasting) or rk23 (the\n"
+      "                legacy engine, byte-identical to outputs published\n"
+      "                while it was the default, ~6x slower);\n"
+      "                docs/performance.md has the grammar\n"
       "  --platform S  platform topology spec string: mono (default,\n"
       "                the paper's single-domain board) or a multi-domain\n"
       "                kind such as biglittle[:little_cores=4,big_cores=4,\n"
