@@ -29,6 +29,19 @@ PvSource::PvSource(SolarCell cell, std::function<double(double)> irradiance,
 
 double PvSource::current(double v, double t) const {
   ++stats_.calls;
+  // A repeat of the previous (v, t) would hit the table again or the
+  // (v, il) solve memo below, neither of which changes any state, so
+  // answering it here is bit-identical.
+  if (last_call_.valid && v == last_call_.v && t == last_call_.t) {
+    ++stats_.memo_hits;
+    return last_call_.i;
+  }
+  const double i = evaluate(v, t);
+  last_call_ = {v, t, i, true};
+  return i;
+}
+
+double PvSource::evaluate(double v, double t) const {
   const double g = irradiance_(t);
   if (table_ && table_->covers(v, g)) {
     ++stats_.table_hits;

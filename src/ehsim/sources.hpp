@@ -25,7 +25,8 @@ namespace pns::ehsim {
 struct PvSolveStats {
   std::uint64_t calls = 0;         ///< current() evaluations
   std::uint64_t table_hits = 0;    ///< answered by the bilinear table
-  std::uint64_t memo_hits = 0;     ///< exact (v, il) repeats from the memo
+  std::uint64_t memo_hits = 0;     ///< repeats of the previous (v, t) or
+                                   ///< of the last solve's (v, il)
   std::uint64_t newton_solves = 0; ///< damped-Newton solves executed
   std::uint64_t newton_iterations = 0;  ///< iterations across those solves
   std::uint64_t warm_starts = 0;   ///< solves seeded from a nearby point
@@ -91,7 +92,9 @@ class PvSource : public CurrentSource {
   static constexpr double kWarmStartDeltaV = 0.25;   // V
   static constexpr double kWarmStartDeltaIl = 0.25;  // A
 
-  /// `irradiance` is sampled on demand; it must be callable for any t >= 0.
+  /// `irradiance` is sampled on demand; it must be callable for any t >= 0
+  /// and a pure function of t: current() answers a repeat of its previous
+  /// exact (v, t) from a one-entry memo without sampling it again.
   /// `table_spec` is only consulted in Mode::kTabulated.
   PvSource(SolarCell cell, std::function<double(double)> irradiance,
            Mode mode = Mode::kExact, PvTableSpec table_spec = {});
@@ -133,6 +136,9 @@ class PvSource : public CurrentSource {
   double irradiance_at(double t) const { return irradiance_(t); }
 
  private:
+  /// current() without the last-call memo.
+  double evaluate(double v, double t) const;
+
   SolarCell cell_;
   std::function<double(double)> irradiance_;
   std::function<double(double)> irradiance_hold_;  ///< optional flat window
@@ -145,6 +151,13 @@ class PvSource : public CurrentSource {
     bool valid = false;
   };
   mutable SolveCache solve_cache_;
+
+  // Previous current() call, answered again on an exact (v, t) repeat.
+  struct LastCall {
+    double v = 0.0, t = 0.0, i = 0.0;
+    bool valid = false;
+  };
+  mutable LastCall last_call_;
 
   // Last MPP evaluation, keyed on the exact irradiance value.
   struct MppCache {

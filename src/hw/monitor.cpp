@@ -14,16 +14,12 @@ ThresholdChannel::ThresholdChannel(ChannelNetwork network,
   PNS_EXPECTS(net_.r_top > 0.0);
   PNS_EXPECTS(net_.r_bottom_fixed > 0.0);
   PNS_EXPECTS(net_.pot_full_scale > 0.0);
-  for (int c = 0; c < Mcp4131::kSteps; ++c)
-    threshold_table_[c] = divider_at(c).input_for_output(comp_.params().v_ref);
-  refresh_code_cache();
-}
-
-void ThresholdChannel::refresh_code_cache() {
-  const PotentialDivider div = divider_at(pot_.code());
-  ratio_ = div.ratio();
-  rising_trip_node_ = div.input_for_output(comp_.rising_trip());
-  falling_trip_node_ = div.input_for_output(comp_.falling_trip());
+  for (int c = 0; c < Mcp4131::kSteps; ++c) {
+    const PotentialDivider div = divider_at(c);
+    codes_[c] = {div.input_for_output(comp_.params().v_ref), div.ratio(),
+                 div.input_for_output(comp_.rising_trip()),
+                 div.input_for_output(comp_.falling_trip())};
+  }
 }
 
 PotentialDivider ThresholdChannel::divider_at(int c) const {
@@ -34,7 +30,7 @@ PotentialDivider ThresholdChannel::divider_at(int c) const {
 double ThresholdChannel::threshold_for_code(int c) const {
   // The comparator trips when the tap reaches v_ref, i.e. when the node is
   // at v_ref / ratio(code). Larger bottom resistance -> lower threshold.
-  if (c >= 0 && c < Mcp4131::kSteps) return threshold_table_[c];
+  if (c >= 0 && c < Mcp4131::kSteps) return codes_[c].threshold;
   return divider_at(c).input_for_output(comp_.params().v_ref);
 }
 
@@ -47,38 +43,32 @@ double ThresholdChannel::max_threshold() const {
 }
 
 double ThresholdChannel::set_threshold(double v_target, double v_node_now) {
-  // threshold_for_code is monotone decreasing in the code; scan for the
-  // nearest achievable value (129 candidates -- cheap and exact). Repeat
-  // targets answer from the memo without rescanning.
-  int best = -1;
-  for (const CodeMemo& m : code_memo_) {
-    if (m.code >= 0 && m.v_target == v_target) {
-      best = m.code;
-      break;
-    }
-  }
-  if (best < 0) {
-    best = 0;
-    double best_err = std::abs(threshold_for_code(0) - v_target);
-    for (int c = 1; c < Mcp4131::kSteps; ++c) {
-      const double err = std::abs(threshold_for_code(c) - v_target);
-      if (err < best_err) {
-        best = c;
-        best_err = err;
-      }
-    }
-    code_memo_[code_memo_next_] = {v_target, best};
-    code_memo_next_ = (code_memo_next_ + 1) % code_memo_.size();
+  // Thresholds strictly decrease with the code, so the nearest one is a
+  // neighbour of the first code at or below the target (for a NaN target
+  // that is code 0, as a linear scan would also answer).
+  const auto first_below = std::partition_point(
+      codes_.begin(), codes_.end(),
+      [v_target](const CodeValues& cv) { return cv.threshold > v_target; });
+  const int below = static_cast<int>(first_below - codes_.begin());
+  const auto err = [&](int c) {
+    return std::abs(codes_[c].threshold - v_target);
+  };
+  int best = below;
+  if (below == Mcp4131::kSteps ||
+      (below > 0 && err(below - 1) <= err(below))) {
+    // Ties go to the lower code, as a scan keeping the first minimum
+    // would: step down over codes whose rounded error equals this one.
+    best = below - 1;
+    while (best > 0 && err(best - 1) == err(best)) --best;
   }
   pot_.set_code(best);
-  refresh_code_cache();
   // Reseed the comparator so the programming step cannot self-trigger.
   comp_.reset(v_node_now > threshold());
   return threshold();
 }
 
 double ThresholdChannel::threshold() const {
-  return threshold_for_code(pot_.code());
+  return current_code().threshold;
 }
 
 double ThresholdChannel::quantization_error() const {
@@ -92,13 +82,15 @@ double ThresholdChannel::quantization_error() const {
 }
 
 bool ThresholdChannel::sample(double v_node) {
-  return comp_.update(v_node * ratio_);
+  return comp_.update(v_node * current_code().ratio);
 }
 
-double ThresholdChannel::node_rising_trip() const { return rising_trip_node_; }
+double ThresholdChannel::node_rising_trip() const {
+  return current_code().rising_trip;
+}
 
 double ThresholdChannel::node_falling_trip() const {
-  return falling_trip_node_;
+  return current_code().falling_trip;
 }
 
 const char* to_string(MonitorEdge e) {

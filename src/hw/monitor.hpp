@@ -84,29 +84,21 @@ class ThresholdChannel {
   /// Effective divider at wiper code `c`.
   PotentialDivider divider_at(int c) const;
 
-  /// Recomputes the per-code derived values after the wiper moves. The
-  /// cached numbers are produced by exactly the expressions the accessors
-  /// used to evaluate, so every read stays bit-identical.
-  void refresh_code_cache();
-
   ChannelNetwork net_;
   Mcp4131 pot_;
   Comparator comp_;
-  /// threshold_for_code for every wiper code, computed once at build.
-  std::array<double, Mcp4131::kSteps> threshold_table_{};
-  /// Recent target -> nearest-code memo. The controller re-arms from a
-  /// handful of quantised targets thousands of times per simulated hour;
-  /// the memo answers those without rescanning the 129-code table (the
-  /// table is immutable, so entries never go stale).
-  struct CodeMemo {
-    double v_target = 0.0;
-    int code = -1;
+  /// What every wiper code implies, computed once at build by exactly the
+  /// expressions the accessors would otherwise evaluate on each call.
+  struct CodeValues {
+    double threshold = 0.0;     ///< threshold_for_code
+    double ratio = 0.0;         ///< divider gain
+    double rising_trip = 0.0;   ///< node-referred comparator trips
+    double falling_trip = 0.0;
   };
-  std::array<CodeMemo, 4> code_memo_{};
-  std::size_t code_memo_next_ = 0;
-  double ratio_ = 0.0;             ///< divider gain at the current code
-  double rising_trip_node_ = 0.0;  ///< node-referred comparator trips
-  double falling_trip_node_ = 0.0;
+  /// Indexed by wiper code; `threshold` strictly decreases with the code.
+  std::array<CodeValues, Mcp4131::kSteps> codes_{};
+
+  const CodeValues& current_code() const { return codes_[pot_.code()]; }
 };
 
 /// Edge kinds reported by the monitor.

@@ -337,6 +337,11 @@ SimResult SimEngine::run() {
   // value, so this cannot perturb any trajectory.
   double ode_p_base = std::numeric_limits<double>::quiet_NaN();
 
+  // Harvested power at the current stop point. Nothing between segments
+  // moves (vc, t), so each segment's end value is the next one's start
+  // value and the source is evaluated once per stop point.
+  double p_harv = source_->current(vc, t) * vc;
+
   while (t < cfg_.t_end - kTimeEps) {
     const double seg_t0 = t;
     const double v0 = vc;
@@ -347,7 +352,7 @@ SimResult SimEngine::run() {
       ode_p_base = seg_p_base_;
     }
     const double p_load = segment_load_power(v0);
-    const double p_harv0 = source_->current(v0, t) * v0;
+    const double p_harv0 = p_harv;
     const double instr_rate = soc_.instruction_rate(latched_util_);
     if (platform_->domains)
       soc_.domain_rates(latched_util_, domains.seg_power, domains.seg_rate);
@@ -366,8 +371,8 @@ SimResult SimEngine::run() {
     vc = integrator_.state()[0];
 
     // --- segment accounting ---------------------------------------------
-    acc.add_segment(seg_t0, t, v0, vc, p_harv0,
-                    source_->current(vc, t) * vc, p_load, instr_rate,
+    p_harv = source_->current(vc, t) * vc;
+    acc.add_segment(seg_t0, t, v0, vc, p_harv0, p_harv, p_load, instr_rate,
                     soc_.is_on());
     workload_->advance(seg_t0, t - seg_t0, instr_rate);
     if (platform_->domains) domains.add_segment(t - seg_t0);

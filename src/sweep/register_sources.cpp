@@ -71,7 +71,7 @@ trace::WeatherCondition effective_condition(const ScenarioSpec& spec,
   return *parsed;
 }
 
-/// Composes a worker-cache key from synthesis parameters. Doubles go
+/// Composes an asset-cache key from synthesis parameters. Doubles go
 /// through shortest_double (via ParamMap::set_double) so distinct values
 /// can never collide on a formatting round-off.
 std::string asset_key(std::initializer_list<std::pair<const char*, double>>
@@ -145,7 +145,7 @@ ehsim::PvSource make_trace(const ScenarioSpec& spec, const ParamMap& params,
     throw ParamError("source 'trace': missing required param 'file' "
                      "(two-column t,W/m^2 CSV)");
   const double scale = params.get_double("scale", 1.0);
-  // Cached per worker: a sweep treats the file as immutable for its
+  // Cached per sweep: a sweep treats the file as immutable for its
   // duration, so rows sharing (file, scale) share one parsed trace.
   auto irradiance =
       assets.trace(asset_key({{"scale", scale}}, "tracefile/" + file), [&] {

@@ -60,8 +60,8 @@ struct SourceEntry {
   /// (e.g. the weather name for "solar", the fixed string "shadowing").
   std::function<std::string(const ScenarioSpec&)> condition_label;
   /// Builds the harvester feeding the storage node for one scenario.
-  /// `assets` is the calling worker's immutable-input cache
-  /// (sweep/assets.hpp); factories whose inputs are expensive pure
+  /// `assets` is the sweep's immutable-input cache, shared by all its
+  /// workers (sweep/assets.hpp); factories whose inputs are expensive pure
   /// functions of the spec should build them through it, others may
   /// ignore it.
   std::function<ehsim::PvSource(const ScenarioSpec&, const ParamMap&,

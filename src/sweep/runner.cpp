@@ -97,11 +97,13 @@ std::vector<SweepOutcome> SweepRunner::run(
   std::size_t done = 0;  // guarded by progress_mutex
   std::mutex progress_mutex;
 
+  // One asset cache for all workers: each distinct weather trace is
+  // synthesised once per run and shared by every row that uses it
+  // (results are bit-identical, so the thread-count independence
+  // guarantee is unaffected).
+  ScenarioAssets assets;
+
   auto worker = [&]() {
-    // One asset cache per worker thread: rows that share a weather trace
-    // reuse it instead of re-synthesising (results are bit-identical, so
-    // the thread-count independence guarantee is unaffected).
-    ScenarioAssets assets;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= specs.size()) return;

@@ -31,7 +31,8 @@ struct SweepRunnerOptions {
   /// more threads than scenarios).
   unsigned threads = 0;
   /// Reuse immutable scenario assets (weather traces, parsed CSV traces)
-  /// across the rows a worker executes (sweep/assets.hpp). Bit-identical
+  /// across all rows of one run() call, shared by every worker
+  /// (sweep/assets.hpp). Bit-identical
   /// to rebuilding per scenario; off exists for A/B timing
   /// (tools/pns_bench_report) and debugging.
   bool reuse_assets = true;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 
 #include "ehsim/pv_table.hpp"
@@ -167,6 +169,56 @@ TEST(PvSource, SolveStatsCountEveryPath) {
       EXPECT_GT(st.warm_starts, 0u);
     }
   }
+}
+
+// The last-call memo: a call sequence with immediate (v, t) repeats must
+// return bit for bit what the same sequence without the repeats returns
+// -- including off-table points, whose warm-started Newton seed depends
+// on the previous solve and so would expose any skipped or extra solve.
+TEST(PvSource, LastCallMemoIsBitIdenticalToSequenceWithoutRepeats) {
+  for (const auto mode :
+       {PvSource::Mode::kExact, PvSource::Mode::kTabulated}) {
+    const double pts[][2] = {{5.3, 10.0},  {5.31, 11.0}, {2.0, 12.0},
+                             {7.5, 300.0}, {7.52, 301.0}, {7.6, 301.5},
+                             {5.3, 200.0}, {0.5, 201.0},  {7.55, 302.0},
+                             {7.55, 303.0}, {5.3, 10.0}};
+    const PvSource plain = counted_source(mode);
+    const PvSource repeated = counted_source(mode);
+    std::uint64_t repeats = 0;
+    for (std::size_t k = 0; k < std::size(pts); ++k) {
+      const double v = pts[k][0];
+      const double t = pts[k][1];
+      const double want = plain.current(v, t);
+      // 0, 1 or 2 immediate repeats, varying along the sequence.
+      const std::size_t copies = 1 + k % 3;
+      for (std::size_t r = 0; r < copies; ++r)
+        EXPECT_EQ(repeated.current(v, t), want) << "v=" << v << " t=" << t;
+      repeats += copies - 1;
+    }
+    if (mode == PvSource::Mode::kTabulated)
+      ASSERT_GT(plain.solve_stats().warm_starts, 0u);  // off-table covered
+    const PvSolveStats& a = plain.solve_stats();
+    const PvSolveStats& b = repeated.solve_stats();
+    EXPECT_EQ(b.calls, a.calls + repeats);  // every call is counted
+    EXPECT_EQ(b.memo_hits, a.memo_hits + repeats);  // repeats are memo hits
+    // The repeats reached neither the table nor the solver.
+    EXPECT_EQ(b.table_hits, a.table_hits);
+    EXPECT_EQ(b.newton_solves, a.newton_solves);
+    EXPECT_EQ(b.newton_iterations, a.newton_iterations);
+    EXPECT_EQ(b.warm_starts, a.warm_starts);
+  }
+}
+
+TEST(PvSource, LastCallMemoKeysOnTimeAsWellAsVoltage) {
+  // Same v, different t under a time-varying irradiance: not a repeat.
+  const auto cell = paper_cell();
+  const PvSource source(cell, [](double t) { return 600.0 + 10.0 * t; });
+  const double a = source.current(5.0, 1.0);
+  const double b = source.current(5.0, 2.0);
+  EXPECT_EQ(a, cell.current(5.0, 610.0));
+  EXPECT_EQ(b, cell.current(5.0, 620.0));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(source.solve_stats().memo_hits, 0u);
 }
 
 TEST(PvSource, SolveStatsAccumulate) {

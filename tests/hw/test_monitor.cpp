@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "util/contracts.hpp"
 
 namespace pns::hw {
@@ -73,6 +77,99 @@ TEST(ThresholdChannel, ProgramTimeMicroseconds) {
   ThresholdChannel ch;
   EXPECT_GT(ch.program_time(), 0.0);
   EXPECT_LT(ch.program_time(), 1e-3);
+}
+
+// Nearest-code reference: the linear scan set_threshold replaced. Keeps
+// the first code of minimal |threshold - target|, so ties (and a NaN
+// target, whose errors never compare less) go to the lower code.
+int scan_nearest_code(const ThresholdChannel& ch, double v_target) {
+  int best = 0;
+  double best_err = std::abs(ch.threshold_for_code(0) - v_target);
+  for (int c = 1; c < Mcp4131::kSteps; ++c) {
+    const double err = std::abs(ch.threshold_for_code(c) - v_target);
+    if (err < best_err) {
+      best = c;
+      best_err = err;
+    }
+  }
+  return best;
+}
+
+TEST(ThresholdChannel, NearestCodeMatchesLinearScan) {
+  ThresholdChannel ch;
+  std::vector<double> targets;
+  // Dense sweep past both ends of the range.
+  const double lo = ch.min_threshold() - 0.5;
+  const double hi = ch.max_threshold() + 0.5;
+  constexpr int kDense = 20000;
+  for (int k = 0; k <= kDense; ++k)
+    targets.push_back(lo + (hi - lo) * k / kDense);
+  for (int c = 0; c < Mcp4131::kSteps; ++c) {
+    targets.push_back(ch.threshold_for_code(c));  // exact code thresholds
+    if (c + 1 < Mcp4131::kSteps) {
+      // Midpoints: equidistant from both neighbours, the lower code wins.
+      targets.push_back(
+          (ch.threshold_for_code(c) + ch.threshold_for_code(c + 1)) / 2.0);
+    }
+  }
+  targets.push_back(std::numeric_limits<double>::quiet_NaN());
+  targets.push_back(std::numeric_limits<double>::infinity());
+  targets.push_back(-std::numeric_limits<double>::infinity());
+  targets.push_back(-1e300);
+  targets.push_back(1e300);
+  for (const double target : targets) {
+    const int expected = scan_nearest_code(ch, target);
+    ch.set_threshold(target, 5.0);
+    ASSERT_EQ(ch.code(), expected) << "target " << target;
+    EXPECT_EQ(ch.threshold(), ch.threshold_for_code(expected));
+  }
+  ch.set_threshold(std::numeric_limits<double>::quiet_NaN(), 5.0);
+  EXPECT_EQ(ch.code(), 0);
+}
+
+TEST(ThresholdChannel, MidpointTieGoesToLowerCode) {
+  ThresholdChannel ch;
+  int exact_ties = 0;
+  for (int c = 0; c + 1 < Mcp4131::kSteps; ++c) {
+    const double a = ch.threshold_for_code(c);
+    const double b = ch.threshold_for_code(c + 1);
+    const double mid = (a + b) / 2.0;
+    ch.set_threshold(mid, 5.0);
+    if (std::abs(a - mid) == std::abs(b - mid)) {
+      ++exact_ties;
+      EXPECT_EQ(ch.code(), c) << "tie between codes " << c << ", " << c + 1;
+    }
+  }
+  EXPECT_GT(exact_ties, 0);  // the midpoints do produce exact ties
+}
+
+TEST(ThresholdChannel, PerCodeValuesMatchDividerExpressions) {
+  // A channel programmed to each code must trip and sample exactly as the
+  // divider and comparator expressions for that code say.
+  const ChannelNetwork net;
+  const ComparatorParams params;
+  const Mcp4131 pot(net.pot_full_scale, net.pot_wiper);
+  ThresholdChannel ch(net, params);
+  for (int c = 0; c < Mcp4131::kSteps; ++c) {
+    const PotentialDivider div{net.r_top,
+                               net.r_bottom_fixed + pot.resistance_at(c)};
+    Comparator ref(params);
+    const double threshold = div.input_for_output(params.v_ref);
+    EXPECT_EQ(ch.threshold_for_code(c), threshold);
+    const double v_now = threshold + 0.001;
+    ch.set_threshold(threshold, v_now);
+    ASSERT_EQ(ch.code(), c);
+    ref.reset(v_now > threshold);
+    EXPECT_EQ(ch.node_rising_trip(), div.input_for_output(ref.rising_trip()));
+    EXPECT_EQ(ch.node_falling_trip(),
+              div.input_for_output(ref.falling_trip()));
+    for (const double v :
+         {threshold - 0.05, ch.node_falling_trip(), threshold,
+          ch.node_rising_trip(), threshold + 0.05, threshold - 0.002}) {
+      EXPECT_EQ(ch.sample(v), ref.update(v * div.ratio()))
+          << "code " << c << " v " << v;
+    }
+  }
 }
 
 TEST(VoltageMonitor, SetThresholdsReturnsAchievedPair) {
