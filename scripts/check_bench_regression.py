@@ -116,33 +116,6 @@ def compare_sweep_section(fresh, baseline, threshold, section):
     return warnings
 
 
-def compare_dispatch(fresh, baseline, threshold):
-    """Compares daemon_dispatch.overhead_per_row_ms; returns warnings."""
-    fresh_d = fresh.get("daemon_dispatch")
-    base_d = baseline.get("daemon_dispatch")
-    if not isinstance(fresh_d, dict):
-        return []
-    fresh_ms = float(fresh_d.get("overhead_per_row_ms", 0.0))
-    if not isinstance(base_d, dict):
-        print(f"{'daemon_dispatch overhead/row':42} {'new':>12} "
-              f"{fresh_ms:9.2f}ms")
-        return []
-    base_ms = float(base_d.get("overhead_per_row_ms", 0.0))
-    # The overhead is a small difference of two wall-clocks and can be
-    # near (or below) zero on a noisy machine; compare on an absolute
-    # floor so tiny absolute wobbles don't trip the relative threshold.
-    floor_ms = 1.0
-    delta = (fresh_ms - base_ms) / max(abs(base_ms), floor_ms)
-    flag = ""
-    warnings = []
-    if delta > threshold:
-        flag = "  <-- REGRESSION"
-        warnings.append(("daemon_dispatch overhead/row", delta))
-    print(f"{'daemon_dispatch overhead/row':42} {base_ms:10.2f}ms "
-          f"{fresh_ms:10.2f}ms {delta:+7.1%}{flag}")
-    return warnings
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh", nargs="?", help="freshly generated report")
@@ -210,7 +183,6 @@ def main():
                                        "table2")
     regressed += compare_sweep_section(fresh, baseline, args.threshold,
                                        "table2_biglittle")
-    regressed += compare_dispatch(fresh, baseline, args.threshold)
 
     if regressed:
         print()

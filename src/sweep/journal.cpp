@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -13,7 +12,6 @@
 #include <system_error>
 #include <utility>
 
-#include "sweep/registry.hpp"
 #include "util/crc32.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
@@ -184,7 +182,7 @@ void JournalWriter::write_line(const std::string& line) {
   // reaches the platter before append() returns: an acknowledged row
   // survives a machine crash, not just a process crash. Every IO step is
   // checked: an append that did not durably land must *fail loudly*
-  // (the daemon then refuses to acknowledge the row), never pretend.
+  // (throw JournalError to the caller), never pretend.
   const auto fail = [&](const char* what) -> void {
     maybe_torn_ = true;
     throw JournalError(std::string("journal ") + what + " failed: " +
@@ -254,22 +252,6 @@ namespace {
                      "restore the journal from a backup");
 }
 
-/// Rewrites a deprecated integrator alias in a sweep identity to the
-/// kind it now runs as ("&integrator=rk23batch:rtol=1e-05" ->
-/// "&integrator=rk23pi:rtol=1e-05"), so journals written under the
-/// retired kinds resume and merge under rk23pi. Goes at the next
-/// re-anchor, together with resolve_integrator_alias's aliases.
-std::string map_retired_integrator(std::string sweep) {
-  constexpr std::string_view kKey = "&integrator=";
-  const std::size_t at = sweep.find(kKey);
-  if (at == std::string::npos) return sweep;
-  const std::size_t begin = at + kKey.size();
-  const std::size_t end = std::min(sweep.find(':', begin),
-                                   sweep.find('&', begin));
-  const std::string kind = sweep.substr(begin, end - begin);
-  return sweep.replace(begin, kind.size(), resolve_integrator_alias(kind));
-}
-
 }  // namespace
 
 JournalContents read_journal(const std::string& path) {
@@ -287,7 +269,7 @@ JournalContents read_journal(const std::string& path) {
     if (crc == CrcCheck::kMismatch) {
       // The line *looks* complete but its checksum disagrees: silent
       // corruption. Quarantine it -- the row is not folded in, so a
-      // resume or the daemon simply re-runs that scenario.
+      // resume simply re-runs that scenario.
       if (!header_seen) throw_unrecoverable_header(path, "corrupt");
       ++contents.quarantined_lines;
       contents.notes.push_back(path + ":" + std::to_string(lineno) +
@@ -314,8 +296,7 @@ JournalContents read_journal(const std::string& path) {
           throw JournalError(path + ": first line is not a journal header");
         if (doc.at("version").as_int64() != kJournalVersion)
           throw JournalError(path + ": unsupported journal version");
-        contents.header.sweep =
-            map_retired_integrator(doc.at("sweep").as_string());
+        contents.header.sweep = doc.at("sweep").as_string();
         contents.header.total =
             static_cast<std::size_t>(doc.at("total").as_uint64());
         header_seen = true;

@@ -66,8 +66,8 @@ struct JournalContents {
   /// line after a kill; more indicates external corruption).
   std::size_t dropped_lines = 0;
   /// Lines that parsed but failed their CRC-32 check: complete-looking
-  /// yet corrupt, so their rows were *not* folded in. A resume (or the
-  /// daemon's reload) simply re-runs those scenarios.
+  /// yet corrupt, so their rows were *not* folded in. A resume simply
+  /// re-runs those scenarios.
   std::size_t quarantined_lines = 0;
   /// One human-readable diagnostic per dropped or quarantined line
   /// ("path:line: why"), so recovery logs exactly what was lost.
@@ -87,9 +87,8 @@ class JournalError : public std::runtime_error {
 /// kFlush pushes every appended line into the OS (a crashed *process*
 /// loses at most the line being written); kFsync additionally fsyncs the
 /// file after each append, so even a machine crash or power cut cannot
-/// lose a row that was acknowledged -- the contract the sweep daemon
-/// needs before telling a worker its lease results are safe. kFsync
-/// costs a disk round-trip per row, so it is opt-in (`--fsync`).
+/// lose a row that was appended. kFsync costs a disk round-trip per row,
+/// so it is opt-in (`--fsync`).
 enum class JournalDurability { kFlush, kFsync };
 
 /// Appends journal lines to a file, flushing (and optionally fsyncing)
@@ -100,7 +99,7 @@ class JournalWriter {
  public:
   /// Creates (truncating) `path` and writes the header line. The
   /// optional fault injector schedules torn appends and failed fsyncs
-  /// (chaos testing); null = none.
+  /// (fault testing); null = none.
   static JournalWriter create(
       const std::string& path, const JournalHeader& header,
       JournalDurability durability = JournalDurability::kFlush,
@@ -131,8 +130,8 @@ class JournalWriter {
               double wall_s = -1.0);
 
   /// True when the journal is currently writable (flush + fsync at this
-  /// writer's durability succeed). The daemon's degraded mode polls this
-  /// to discover that a sick state dir has healed.
+  /// writer's durability succeed), e.g. to check that a failed append
+  /// left the file usable.
   bool probe();
 
  private:
@@ -182,11 +181,11 @@ std::size_t compact_journal(const std::string& in_path,
 /// line per entry in ascending index order, with no wall_s metadata.
 /// Because row JSON round-trips bit-for-bit and execution timing is
 /// excluded, the canonical form of a journal is a pure function of the
-/// sweep -- a single-process run, an N-shard merge and a `pns_sweepd`
-/// distributed run all canonicalise to the *same bytes*, which is how
-/// the distributed byte-identity contract is enforced (`pns_sweep merge
-/// --journal`, tests/sweepd). Goes through temp + fsync + atomic rename
-/// like compact_journal. Throws JournalError on IO failure.
+/// sweep -- a single-process run and an N-shard merge canonicalise to
+/// the *same bytes*, which is how the sharded byte-identity contract is
+/// enforced (`pns_sweep merge --journal`, tests/cli). Goes through temp +
+/// fsync + atomic rename like compact_journal. Throws JournalError on IO
+/// failure.
 void write_canonical_journal(const std::string& path,
                              const JournalHeader& header,
                              const std::map<std::size_t, SummaryRow>& rows);

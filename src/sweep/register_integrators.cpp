@@ -99,13 +99,4 @@ void register_builtin_integrators(IntegratorRegistry& registry) {
   });
 }
 
-std::string resolve_integrator_alias(std::string_view kind) {
-  // rk23batch and rk23simd ran rk23pi's numerics in lockstep batches and
-  // wrote rk23pi's bytes. Their engine is gone; the names stay accepted
-  // for one round so old command lines and journals keep working. The
-  // aliases go at the next re-anchor.
-  if (kind == "rk23batch" || kind == "rk23simd") return "rk23pi";
-  return std::string(kind);
-}
-
 }  // namespace pns::sweep

@@ -214,17 +214,8 @@ ControlSpec ControlSpec::parse(std::string_view text) {
 IntegratorSpec IntegratorSpec::parse(std::string_view text) {
   const SpecParts parts = split_spec_string(text);
   IntegratorSpec spec;
-  spec.kind = resolve_integrator_alias(parts.kind);
+  spec.kind = parts.kind;
   spec.params = ParamMap::parse(parts.params);
-  if (spec.kind != parts.kind) {
-    // A deprecated alias: its lockstep batch width never changed a byte,
-    // so it is dropped; every other key is rk23pi's own.
-    (void)spec.params.get_uint("width", 0);  // still rejects a bad width
-    ParamMap kept;
-    for (const auto& [key, value] : spec.params.entries())
-      if (key != "width") kept.set(key, value);
-    spec.params = std::move(kept);
-  }
   const IntegratorEntry& entry =
       IntegratorRegistry::instance().require(spec.kind);
   spec.params.validate_keys(entry.params,

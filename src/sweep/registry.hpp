@@ -187,11 +187,6 @@ ehsim::PvSource resolve_source(const ScenarioSpec& spec);
 /// make_sim_config.
 void resolve_integrator(const ScenarioSpec& spec, sim::SimConfig& cfg);
 
-/// The kind a possibly retired integrator name runs as: "rk23pi" for the
-/// deprecated aliases rk23batch and rk23simd, `kind` itself otherwise.
-/// IntegratorSpec::parse and journal reading both map through it.
-std::string resolve_integrator_alias(std::string_view kind);
-
 /// The report/label "condition" string of a scenario: its source kind's
 /// condition_label, or the bare kind string when the kind is unknown
 /// (expansion must not throw for a spec whose failure belongs to

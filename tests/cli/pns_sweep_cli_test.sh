@@ -90,20 +90,45 @@ grep -q "rtol" err.txt || fail "unknown integrator param: keys not listed"
   >/dev/null || fail "rk23pi threaded run failed"
 cmp -s pi.csv pi4.csv || fail "rk23pi CSV differs across thread counts"
 
-# --- the retired rk23batch/rk23simd kinds are deprecated aliases of
-# rk23pi: same bytes, one stderr line, journals interchange
-"$BIN" quick --quiet --integrator rk23batch:width=4 --csv bat.csv \
-  >/dev/null 2>err.txt || fail "rk23batch alias run failed"
-cmp -s pi.csv bat.csv || fail "rk23batch alias CSV differs from rk23pi"
-[ "$(grep -c deprecated err.txt)" = 1 ] || \
-  fail "rk23batch alias: expected one deprecation line"
-"$BIN" quick --quiet --integrator rk23simd --csv simd.csv >/dev/null \
-  2>&1 || fail "rk23simd alias run failed"
-cmp -s pi.csv simd.csv || fail "rk23simd alias CSV differs from rk23pi"
-"$BIN" quick --quiet --integrator rk23batch:width=4 --journal w.jsonl \
-  >/dev/null 2>&1 || fail "journalled rk23batch alias run failed"
-"$BIN" quick --quiet --integrator rk23pi --resume --journal w.jsonl \
-  >/dev/null || fail "rk23batch alias journal not reusable under rk23pi"
+# --- the retired rk23batch/rk23simd kinds are unknown kinds: refused up
+# front with the valid choices, and a journal pinning one never resumes
+if "$BIN" quick --quiet --integrator rk23batch --csv bat.csv \
+  >/dev/null 2>err.txt; then
+  fail "retired rk23batch integrator accepted"
+fi
+grep -q "unknown integrator 'rk23batch'" err.txt || \
+  fail "rk23batch: no unknown-kind diagnostic"
+grep -q "rk23pi" err.txt || fail "rk23batch: valid kinds not listed"
+[ -e bat.csv ] && fail "refused rk23batch run wrote its CSV"
+"$BIN" quick --quiet --integrator rk23pi --journal w.jsonl >/dev/null || \
+  fail "journalled rk23pi run failed"
+# Rewrite the header (checksum dropped, as in a pre-checksum journal) to
+# the identity an rk23batch run used to pin.
+sed '1s/integrator=rk23pi/integrator=rk23batch/; 1s/,"crc":"[0-9a-f]*"}$/}/' \
+  w.jsonl > batch.jsonl
+grep -q "integrator=rk23batch" batch.jsonl || fail "rk23batch header not forged"
+if "$BIN" quick --quiet --integrator rk23pi --resume --journal batch.jsonl \
+  --csv bat_resumed.csv >/dev/null 2>err.txt; then
+  fail "rk23batch journal resumed under rk23pi"
+fi
+grep -q "integrator=rk23batch" err.txt || \
+  fail "rk23batch journal refusal: pinned identity not named"
+[ -e bat_resumed.csv ] && fail "refused rk23batch resume wrote its CSV"
+
+# --- removed commands and flags are refused without writing anything
+if "$BIN" worker --connect tcp:127.0.0.1:1 --csv worker.csv \
+  >/dev/null 2>err.txt; then
+  fail "removed worker subcommand exited 0"
+fi
+grep -q "unknown option: --connect" err.txt || \
+  fail "removed worker subcommand: --connect not named in diagnostics"
+[ -e worker.csv ] && fail "removed worker subcommand wrote its CSV"
+if "$BIN" quick --fault fault:seed=1 --csv fault.csv >/dev/null 2>err.txt; then
+  fail "removed --fault flag exited 0"
+fi
+grep -q "unknown option: --fault" err.txt || \
+  fail "removed --fault flag not named in diagnostics"
+[ -e fault.csv ] && fail "removed --fault flag wrote its CSV"
 
 # --- a parameterized governor runs end-to-end from the CLI
 "$BIN" quick --quiet --control gov:ondemand:period=0.05 --control pns \

@@ -1,7 +1,8 @@
-// Tests for the ODE integrators (ehsim/rk23, ehsim/fixed_step):
-// convergence orders on analytic systems, event localisation (bisection
-// and dense-output root), the PI step controller, and cross-integrator
-// parity on the paper's storage-node circuit.
+// Tests for the ODE integrator (ehsim/rk23): accuracy and tolerance
+// control on analytic systems, event localisation (bisection and
+// dense-output root), the PI step controller, and parity of its two
+// configurations against a tight-tolerance reference on the paper's
+// storage-node circuit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +10,6 @@
 
 #include "ehsim/circuit.hpp"
 #include "ehsim/dense_output.hpp"
-#include "ehsim/fixed_step.hpp"
 #include "ehsim/loads.hpp"
 #include "ehsim/ode.hpp"
 #include "ehsim/rk23.hpp"
@@ -48,41 +48,6 @@ class Oscillator : public OdeSystem {
  private:
   double w_;
 };
-
-double euler_error(double h) {
-  ExpDecay sys(1.0);
-  std::vector<double> y{1.0};
-  integrate_euler(sys, 0.0, y, 1.0, h);
-  return std::abs(y[0] - std::exp(-1.0));
-}
-
-double rk4_error(double h) {
-  ExpDecay sys(1.0);
-  std::vector<double> y{1.0};
-  integrate_rk4(sys, 0.0, y, 1.0, h);
-  return std::abs(y[0] - std::exp(-1.0));
-}
-
-TEST(FixedStep, EulerFirstOrderConvergence) {
-  const double e1 = euler_error(0.01);
-  const double e2 = euler_error(0.005);
-  const double order = std::log2(e1 / e2);
-  EXPECT_NEAR(order, 1.0, 0.15);
-}
-
-TEST(FixedStep, Rk4FourthOrderConvergence) {
-  const double e1 = rk4_error(0.05);
-  const double e2 = rk4_error(0.025);
-  const double order = std::log2(e1 / e2);
-  EXPECT_NEAR(order, 4.0, 0.3);
-}
-
-TEST(FixedStep, HandlesPartialFinalStep) {
-  ExpDecay sys(1.0);
-  std::vector<double> y{1.0};
-  integrate_rk4(sys, 0.0, y, 0.95, 0.1);  // 9 full + 1 half step
-  EXPECT_NEAR(y[0], std::exp(-0.95), 1e-6);
-}
 
 TEST(Rk23, AccurateOnExpDecay) {
   ExpDecay sys(2.0);
@@ -484,22 +449,19 @@ TEST(Rk23, DenseRootEventLeavesStateOnTheCrossedSide) {
 
 // ------------------------------------- cross-integrator circuit parity
 
-TEST(IntegratorParity, FixedRk23AndPiAgreeOnPaperCircuit) {
+TEST(IntegratorParity, Rk23AndPiAgreeOnPaperCircuit) {
   // The paper's storage node under constant irradiance and a constant-
-  // power load, integrated three ways: classic RK4 at a small fixed
-  // step (reference), the default adaptive RK23, and the rk23pi
-  // configuration (PI control + dense events, looser tolerance). All
-  // three must agree on the final node voltage to well under a
-  // millivolt over 10 simulated seconds.
+  // power load, integrated three ways: RK23 at rtol 1e-10 (reference),
+  // the legacy rk23 configuration, and the rk23pi configuration (PI
+  // control + dense events, looser tolerance). All three must agree on
+  // the final node voltage to well under a millivolt over 10 simulated
+  // seconds.
   const auto cell = pns::sim::paper_pv_array();
   const PvSource source(cell, [](double) { return 800.0; });
   const ConstantPowerLoad load(3.5);
   const EhCircuit circuit(source, load, Capacitor{47e-3, 0.0, 50e3});
 
   const double v0 = 5.0;
-  std::vector<double> ref{v0};
-  integrate_rk4(circuit, 0.0, ref, 10.0, 1e-3);
-
   auto adaptive = [&](StepControl sc, EventLocalization el, double rtol,
                       double max_step) {
     Rk23Options opt;
@@ -513,12 +475,14 @@ TEST(IntegratorParity, FixedRk23AndPiAgreeOnPaperCircuit) {
     ig.advance(10.0);
     return ig.state()[0];
   };
+  const double ref = adaptive(StepControl::kClamped,
+                              EventLocalization::kBisection, 1e-10, 0.01);
   const double rk23 = adaptive(StepControl::kClamped,
                                EventLocalization::kBisection, 1e-6, 0.01);
   const double rk23pi = adaptive(StepControl::kPi,
                                  EventLocalization::kDenseRoot, 1e-4, 0.25);
-  EXPECT_NEAR(rk23, ref[0], 1e-4);
-  EXPECT_NEAR(rk23pi, ref[0], 5e-4);
+  EXPECT_NEAR(rk23, ref, 1e-4);
+  EXPECT_NEAR(rk23pi, ref, 5e-4);
   EXPECT_NEAR(rk23pi, rk23, 5e-4);
 }
 

@@ -565,38 +565,25 @@ TEST(SweepRunnerResume, Rk23EraDefaultJournalResumesOnlyUnderRk23) {
   EXPECT_EQ(csv_of(report.rows), csv_of(written.rows));
 }
 
-TEST(SweepRunnerResume, RetiredBatchKindJournalResumesUnderRk23Pi) {
+TEST(SweepRunnerResume, RetiredBatchKindJournalIsRefused) {
   // Journals written under the retired rk23batch/rk23simd kinds pin
-  // "&integrator=rk23batch" (width was never part of the identity).
-  // Those kinds wrote rk23pi's bytes, so journal reading maps the name
-  // and the journal resumes under rk23pi with every row reused.
+  // "&integrator=rk23batch". Journal reading keeps the header verbatim,
+  // so such a journal matches no sweep a current run can name: resuming
+  // it under rk23pi is refused like any other identity mismatch.
   const auto mode = ehsim::PvSource::Mode::kExact;
   auto sw = small_sweep();
   sw.base.integrator = IntegratorSpec::parse("rk23pi");
   const auto specs = sw.expand();
+  const std::string retired_id =
+      "small?minutes=0.5&pv=exact&integrator=rk23batch";
   TempFile file("pns-retired-kind");
-  runner_with(1).resume(specs, file.path(),
-                        "small?minutes=0.5&pv=exact&integrator=rk23batch");
+  runner_with(1).resume(specs, file.path(), retired_id);
+  EXPECT_EQ(read_journal(file.path()).header.sweep, retired_id);
 
   const std::string id =
       sweep_identity("small", 0.5, mode, {}, {}, sw.base.integrator);
   EXPECT_EQ(id, "small?minutes=0.5&pv=exact&integrator=rk23pi");
-  EXPECT_EQ(read_journal(file.path()).header.sweep, id);
-  const auto report = runner_with(1).resume(specs, file.path(), id);
-  EXPECT_EQ(report.reused, specs.size());
-  EXPECT_EQ(report.executed, 0u);
-}
-
-TEST(Journal, RetiredIntegratorNamesMapToRk23PiOnRead) {
-  TempFile file("pns-retired-header");
-  JournalWriter::create(
-      file.path(),
-      {"quick?minutes=2&pv=exact&integrator=rk23simd:rtol=0.001&platform="
-       "biglittle",
-       3});
-  EXPECT_EQ(read_journal(file.path()).header.sweep,
-            "quick?minutes=2&pv=exact&integrator=rk23pi:rtol=0.001&platform="
-            "biglittle");
+  EXPECT_THROW(runner_with(1).resume(specs, file.path(), id), JournalError);
 }
 
 TEST(SweepRunnerResume, JournalFromDifferentSweepRejected) {

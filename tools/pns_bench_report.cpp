@@ -4,11 +4,9 @@
 // was built) plus wall-clock timings of the `table2` sweep -- exact and
 // tabulated PV, the rk23pi integrator (with the PV implicit-solve
 // accounting: iteration counts, memo/table hit rates and warm starts),
-// an asset-reuse A/B, the same sweep
-// on the 2-domain biglittle platform (the joint-ladder dispatch tax), and
-// the sweep daemon's dispatch overhead (the same sweep through an
-// in-process pns_sweepd with 4 local socket workers versus a plain
-// 4-thread run) -- and writes one JSON document (BENCH_<n>.json) that
+// an asset-reuse A/B, and the same sweep on the 2-domain biglittle
+// platform (the joint-ladder dispatch tax) -- and writes one JSON
+// document (BENCH_<n>.json) that
 // future PRs append to -- the repo's record that the hot path stays fast:
 //
 //   pns_bench_report                        # full run, writes BENCH_12.json
@@ -18,9 +16,6 @@
 // checked-in baseline. The sweep timing runs in-process; the micro suite
 // is spawned as the sibling bench_micro_hotpaths binary so the numbers
 // are exactly what a developer gets running it by hand.
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +24,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ehsim/sources.hpp"
@@ -37,11 +31,7 @@
 #include "sweep/presets.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
-#include "sweepd/client.hpp"
-#include "sweepd/daemon.hpp"
-#include "sweepd/worker.hpp"
 #include "util/json.hpp"
-#include "util/socket.hpp"
 
 namespace {
 
@@ -163,108 +153,6 @@ SweepTiming time_table2(const Options& opt, ehsim::PvSource::Mode mode,
   t.failed = sweep::Aggregator(outcomes).failed_count();
   for (const auto& o : outcomes)
     if (o.ok) t.pv += o.result.metrics.pv_solve;
-  return t;
-}
-
-/// The daemon-dispatch A/B: one `table2` job executed through an
-/// in-process daemon with 4 single-threaded local socket workers, versus
-/// the identical scenario vector on a plain 4-thread SweepRunner. The
-/// difference is what the protocol costs -- one JSON round-trip per row
-/// plus lease bookkeeping and journalling.
-struct DispatchTiming {
-  SweepTiming in_process;
-  SweepTiming daemon;
-  unsigned workers = 4;
-  double overhead_s = 0.0;
-  double overhead_per_row_ms = 0.0;
-  bool ok = false;
-  std::string error;
-};
-
-DispatchTiming time_daemon_dispatch(const Options& opt) {
-  DispatchTiming t;
-
-  sweepd::JobSpec job;
-  job.preset = "table2";
-  job.minutes = opt.minutes;
-  const auto specs = job.expand();
-  double simulated_s = 0.0;
-  for (const auto& s : specs) simulated_s += s.duration();
-
-  {
-    sweep::SweepRunnerOptions ropt;
-    ropt.threads = t.workers;
-    sweep::SweepRunner runner(ropt);
-    t.in_process.scenarios = specs.size();
-    t.in_process.threads = runner.effective_threads(specs.size());
-    t.in_process.simulated_s = simulated_s;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto outcomes = runner.run(specs);
-    t.in_process.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    t.in_process.failed = sweep::Aggregator(outcomes).failed_count();
-  }
-
-  const std::string state_dir = opt.out_path + ".sweepd-state";
-  ::mkdir(state_dir.c_str(), 0755);
-  std::string job_id;
-  try {
-    sweepd::DaemonOptions dopt;
-    dopt.endpoint = net::Endpoint::parse("tcp:127.0.0.1:0");
-    dopt.state_dir = state_dir;
-    dopt.idle_poll_s = 0.01;
-    sweepd::Daemon daemon(dopt);
-    daemon.bind();
-    const auto ep = net::Endpoint::parse("tcp:127.0.0.1:" +
-                                         std::to_string(daemon.port()));
-    std::thread serve([&daemon] { daemon.run(); });
-
-    t.daemon.scenarios = specs.size();
-    t.daemon.threads = t.workers;
-    t.daemon.simulated_s = simulated_s;
-    const auto t0 = std::chrono::steady_clock::now();
-    job_id = sweepd::submit_job(ep, job).job;
-    std::vector<std::thread> workers;
-    for (unsigned i = 0; i < t.workers; ++i)
-      workers.emplace_back([&ep] {
-        try {
-          sweepd::WorkerOptions wopt;
-          wopt.endpoint = ep;
-          wopt.threads = 1;
-          wopt.once = true;
-          sweepd::run_worker(wopt);
-        } catch (const std::exception& e) {
-          // Crashed workers are the daemon's problem (re-lease); the
-          // surviving ones finish the job, so timing stays meaningful.
-          std::fprintf(stderr, "warning: dispatch worker: %s\n", e.what());
-        }
-      });
-    for (auto& th : workers) th.join();
-    t.daemon.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    daemon.stop();
-    serve.join();
-    for (const auto& js : daemon.jobs())
-      if (js.job == job_id) {
-        t.daemon.failed = js.failed;
-        t.ok = js.complete;
-        if (!js.complete) t.error = "daemon job did not complete";
-      }
-  } catch (const std::exception& e) {
-    t.error = e.what();
-  }
-  if (!job_id.empty()) {
-    std::remove((state_dir + "/" + job_id + ".jsonl").c_str());
-    std::remove((state_dir + "/" + job_id + ".spec.json").c_str());
-  }
-  ::rmdir(state_dir.c_str());
-
-  t.overhead_s = t.daemon.wall_s - t.in_process.wall_s;
-  t.overhead_per_row_ms =
-      specs.empty() ? 0.0
-                    : t.overhead_s / static_cast<double>(specs.size()) * 1e3;
   return t;
 }
 
@@ -401,15 +289,6 @@ int main(int argc, char** argv) {
   const auto biglittle =
       time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23",
                   /*reuse_assets=*/true, "biglittle");
-  std::fprintf(stderr,
-               "timing daemon dispatch (4 socket workers vs 4 threads, "
-               "%.0f min)...\n",
-               opt.minutes);
-  const auto dispatch = time_daemon_dispatch(opt);
-  if (!dispatch.ok)
-    std::fprintf(stderr, "warning: daemon dispatch timing failed: %s\n",
-                 dispatch.error.c_str());
-
   std::ofstream out(opt.out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", opt.out_path.c_str());
@@ -443,21 +322,6 @@ int main(int argc, char** argv) {
   w.key("exact");
   write_sweep(w, biglittle);
   w.end_object();
-  w.key("daemon_dispatch");
-  if (dispatch.ok) {
-    w.begin_object();
-    w.kv("workers", static_cast<std::uint64_t>(dispatch.workers));
-    w.key("in_process");
-    write_sweep(w, dispatch.in_process);
-    w.key("daemon");
-    write_sweep(w, dispatch.daemon);
-    w.kv("overhead_s", dispatch.overhead_s);
-    w.kv("overhead_per_row_ms", dispatch.overhead_per_row_ms);
-    w.end_object();
-  } else {
-    w.null();
-    w.kv("daemon_dispatch_error", dispatch.error);
-  }
   w.key("micro");
   if (micro_ok) {
     w.begin_array();
@@ -494,14 +358,8 @@ int main(int argc, char** argv) {
               biglittle.wall_s > 0
                   ? biglittle.simulated_s / biglittle.wall_s
                   : 0.0);
-  if (dispatch.ok)
-    std::printf("daemon dispatch: %.2f s via daemon + %u workers vs "
-                "%.2f s in-process (%+.1f ms/row overhead)\n",
-                dispatch.daemon.wall_s, dispatch.workers,
-                dispatch.in_process.wall_s, dispatch.overhead_per_row_ms);
   const bool sweeps_ok = exact.failed == 0 && tab.failed == 0 &&
                          pi.failed == 0 && no_reuse.failed == 0 &&
-                         biglittle.failed == 0 && dispatch.ok &&
-                         dispatch.daemon.failed == 0;
+                         biglittle.failed == 0;
   return sweeps_ok ? 0 : 1;
 }

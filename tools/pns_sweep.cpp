@@ -25,16 +25,9 @@
 //   pns_sweep merge --csv out.csv p0.jsonl p1.jsonl p2.jsonl p3.jsonl
 //   pns_sweep capacitance --refine --refine-metric brownouts
 //
-// Against a running `pns_sweepd` daemon (docs/sweepd.md), the same binary
-// is the worker and the client:
-//
-//   pns_sweep worker --connect tcp:host:7654       # pull + execute leases
-//   pns_sweep submit table2 --connect tcp:host:7654
-//   pns_sweep status --connect tcp:host:7654
-//   pns_sweep results job-1 --connect tcp:host:7654 --csv out.csv
-//
-// Distributed results are byte-identical to a local run of the same
-// sweep (tests/sweepd/ and the CI smoke job enforce this).
+// Sharded runs are the way to spread one sweep over several machines:
+// each machine runs one --shard K/N into its own journal, and `merge`
+// folds the journals into output byte-identical to a single local run.
 //
 // Sweep outputs are bit-identical across thread counts, interruptions and
 // shard counts (verified by tests/sweep/), so --threads/--shard/--resume
@@ -59,11 +52,8 @@
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
-#include "sweepd/client.hpp"
-#include "sweepd/worker.hpp"
 #include "util/json.hpp"
 #include "util/params.hpp"
-#include "util/socket.hpp"
 
 namespace {
 
@@ -103,11 +93,6 @@ struct Options {
   bool refine = false;
   sweep::RefineOptions refine_options;
 
-  // Daemon mode (worker/submit/status/results/watch/shutdown).
-  std::string connect;  ///< daemon endpoint spec string
-  bool once = false;    ///< worker: exit when the work runs dry
-  std::string fault_spec;   ///< worker: --fault chaos injection spec
-  long max_reconnects = -1; ///< worker: -1 = library default
   /// fsync journal appends (sweep runs) so acknowledged rows survive a
   /// machine crash; a disk round-trip per row.
   bool fsync = false;
@@ -120,17 +105,9 @@ void usage(const char* argv0) {
       "       %s merge [--csv PATH] [--json PATH] [--journal PATH] "
       "[--quiet] JOURNAL...\n"
       "       %s compact [--out PATH] JOURNAL\n"
-      "       %s worker --connect EP [--threads N] [--once]\n"
-      "                 [--fault SPEC] [--max-reconnects N]\n"
-      "       %s submit <sweep> --connect EP [sweep options]\n"
-      "       %s status [JOB] --connect EP\n"
-      "       %s results JOB --connect EP [--csv/--json/--journal PATH]\n"
-      "       %s watch JOB --connect EP\n"
-      "       %s shutdown --connect EP\n"
       "\n"
       "sweeps:\n",
-      argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-      argv0);
+      argv0, argv0, argv0, argv0);
   for (const auto& p : sweep::sweep_presets())
     std::printf("  %-12s %s\n", p.name.c_str(), p.summary.c_str());
   std::printf(
@@ -164,7 +141,7 @@ void usage(const char* argv0) {
       "                arbiter=demand] (docs/platforms.md has the grammar)\n"
       "  --journal P   append each completed scenario to the checkpoint\n"
       "                journal at P (JSON lines; see docs/sweeps.md);\n"
-      "                with merge/results: write the canonical journal\n"
+      "                with merge: write the canonical journal\n"
       "                (index order, no timing) of the full row set to P\n"
       "  --fsync       fsync the journal after every append, so rows\n"
       "                survive a machine crash (requires --journal)\n"
@@ -181,19 +158,7 @@ void usage(const char* argv0) {
       "  --refine-metric M  aggregate column compared (default brownouts)\n"
       "  --refine-tol T     relative divergence threshold (default 0.25)\n"
       "  --refine-depth D   maximum bisection rounds (default 3)\n"
-      "  --quiet       suppress per-scenario progress\n"
-      "\n"
-      "daemon mode (`pns_sweepd`; docs/sweepd.md):\n"
-      "  --connect EP  daemon endpoint: unix:PATH, tcp:HOST:PORT or\n"
-      "                tcp:PORT (required by worker/submit/status/\n"
-      "                results/watch/shutdown)\n"
-      "  --once        worker: exit once every job is complete instead\n"
-      "                of polling for future submissions\n"
-      "  --fault SPEC  worker: deterministic fault injection on the daemon\n"
-      "                connection (docs/fault-injection.md), e.g.\n"
-      "                fault:seed=7,conn_drop=0.05,short_write=0.1\n"
-      "  --max-reconnects N  worker: reconnect attempts before giving up\n"
-      "                (default 8; 0 = die on the first disconnect)\n");
+      "  --quiet       suppress per-scenario progress\n");
 }
 
 void list_sweeps(std::FILE* os) {
@@ -301,8 +266,7 @@ int run_merge(const std::vector<std::string>& journals, const Options& opt) {
       return 1;
     }
     // --journal: the canonical (index-ordered, timing-free) journal of
-    // the merged sweep -- the byte-comparable form shared with
-    // `pns_sweep results --journal` (docs/sweepd.md).
+    // the merged sweep -- the byte-comparable form of its row set.
     if (!opt.journal_path.empty())
       sweep::write_canonical_journal(opt.journal_path, first.header, rows);
 
@@ -350,223 +314,6 @@ int run_compact(const std::vector<std::string>& journals,
   }
 }
 
-/// Parses --connect (required for every daemon-mode subcommand).
-/// Exits with usage guidance when missing or malformed.
-net::Endpoint daemon_endpoint(const Options& opt, const char* subcommand) {
-  if (opt.connect.empty()) {
-    std::fprintf(stderr,
-                 "%s requires --connect (unix:PATH, tcp:HOST:PORT or "
-                 "tcp:PORT)\n",
-                 subcommand);
-    std::exit(2);
-  }
-  try {
-    return net::Endpoint::parse(opt.connect);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "invalid --connect '%s': %s\n",
-                 opt.connect.c_str(), e.what());
-    std::exit(2);
-  }
-}
-
-/// The sweep selection of a `submit`, as a daemon JobSpec.
-sweepd::JobSpec job_spec_from(const Options& opt) {
-  sweepd::JobSpec spec;
-  spec.preset = opt.sweep_name;
-  spec.minutes = opt.minutes;
-  spec.pv_mode = opt.pv_mode;
-  spec.controls = opt.controls;
-  spec.sources = opt.sources;
-  spec.integrator = opt.integrator;
-  spec.platform = opt.platform;
-  return spec;
-}
-
-/// `worker --connect EP`: pull and execute leases until the daemon says
-/// goodbye (or, with --once, until the work runs dry).
-int run_worker_cmd(const Options& opt) {
-  sweepd::WorkerOptions wopt;
-  wopt.endpoint = daemon_endpoint(opt, "worker");
-  wopt.threads = opt.threads;
-  wopt.once = opt.once;
-  if (opt.max_reconnects >= 0)
-    wopt.max_reconnects = static_cast<std::size_t>(opt.max_reconnects);
-  if (!opt.fault_spec.empty()) {
-    try {
-      wopt.fault = fault::make_injector(opt.fault_spec);
-      // The same seed also drives the backoff jitter, so a whole chaos
-      // session is reproducible from one number.
-      wopt.backoff_seed = fault::FaultSpec::parse(opt.fault_spec).seed;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "invalid --fault '%s': %s\n",
-                   opt.fault_spec.c_str(), e.what());
-      return 2;
-    }
-  }
-  if (!opt.quiet) {
-    wopt.log = [](const std::string& line) {
-      std::fprintf(stderr, "worker: %s\n", line.c_str());
-    };
-  }
-  try {
-    const sweepd::WorkerReport report = sweepd::run_worker(wopt);
-    std::printf(
-        "worker: %zu lease(s), %zu row(s), %zu failed, %zu reconnect(s)\n",
-        report.leases, report.rows, report.failed, report.reconnects);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "worker: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// `submit <sweep> --connect EP [sweep options]`.
-int run_submit(const Options& opt,
-               const std::vector<std::string>& positional) {
-  if (positional.size() != 1) {
-    std::fprintf(stderr, "submit: expected exactly one sweep name\n");
-    list_sweeps(stderr);
-    return 2;
-  }
-  Options sub = opt;
-  sub.sweep_name = positional[0];
-  try {
-    const sweepd::SubmitResult result = sweepd::submit_job(
-        daemon_endpoint(opt, "submit"), job_spec_from(sub));
-    std::printf("submitted %s: '%s', %zu scenarios\n", result.job.c_str(),
-                result.identity.c_str(), result.total);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "submit: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// `status [JOB] --connect EP`.
-int run_status_cmd(const Options& opt,
-                   const std::vector<std::string>& positional) {
-  if (positional.size() > 1) {
-    std::fprintf(stderr, "status: expected at most one job id\n");
-    return 2;
-  }
-  try {
-    const sweepd::StatusReport report = sweepd::fetch_status(
-        daemon_endpoint(opt, "status"),
-        positional.empty() ? "" : positional[0]);
-    std::printf("%zu worker(s) connected, %zu job(s)%s\n", report.workers,
-                report.jobs.size(),
-                report.degraded ? "  [DEGRADED: leasing paused]" : "");
-    if (report.degraded && !report.degraded_reason.empty())
-      std::printf("  degraded: %s\n", report.degraded_reason.c_str());
-    for (const auto& w : report.worker_info) {
-      std::printf(
-          "  worker %-3zu %u thread(s), %zu lease(s) held, %zu row(s), "
-          "%zu duplicate(s), %zu retry(ies), last seen %.1fs ago\n",
-          w.worker, w.threads, w.leases, w.rows, w.duplicates, w.retries,
-          w.last_seen_s);
-    }
-    for (const auto& j : report.jobs) {
-      std::printf(
-          "  %-8s %4zu/%-4zu done, %zu pending, %zu leased, %zu failed, "
-          "%zu duplicate(s)%s  [%s]\n",
-          j.job.c_str(), j.done, j.total, j.pending, j.leased, j.failed,
-          j.duplicates, j.complete ? ", complete" : "",
-          j.identity.c_str());
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "status: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// `results JOB --connect EP [--csv/--json/--journal PATH]`: fetch the
-/// job's rows and publish them exactly like a local run would.
-int run_results_cmd(const Options& opt,
-                    const std::vector<std::string>& positional) {
-  if (positional.size() != 1) {
-    std::fprintf(stderr, "results: expected exactly one job id\n");
-    return 2;
-  }
-  try {
-    const sweepd::ResultsReport report = sweepd::fetch_results(
-        daemon_endpoint(opt, "results"), positional[0]);
-    const bool wants_files = !opt.csv_path.empty() ||
-                             !opt.json_path.empty() ||
-                             !opt.journal_path.empty();
-    if (!report.complete && wants_files) {
-      // Publishing a partial aggregate would silently break the
-      // byte-identity contract with the local run.
-      std::fprintf(stderr,
-                   "results: %s has %zu of %zu rows; wait for completion "
-                   "before writing --csv/--json/--journal\n",
-                   report.job.c_str(), report.rows.size(), report.total);
-      return 1;
-    }
-    if (!opt.journal_path.empty())
-      sweep::write_canonical_journal(
-          opt.journal_path,
-          sweep::JournalHeader{report.identity, report.total},
-          report.rows);
-    std::vector<sweep::SummaryRow> ordered;
-    ordered.reserve(report.rows.size());
-    for (const auto& [index, row] : report.rows) ordered.push_back(row);
-    sweep::Aggregator agg(std::move(ordered));
-    if (!opt.quiet) {
-      std::printf("%s: sweep '%s', %zu/%zu rows%s\n\n", report.job.c_str(),
-                  report.identity.c_str(), report.rows.size(),
-                  report.total, report.complete ? "" : " (incomplete)");
-      agg.console_table().print(std::cout);
-      std::printf("\n");
-    }
-    if (!opt.journal_path.empty())
-      std::printf("wrote %s\n", opt.journal_path.c_str());
-    const bool wrote = write_outputs(agg, opt);
-    return report.complete && report.failed == 0 && wrote ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "results: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// `watch JOB --connect EP`: subscribe and print each row as it lands.
-int run_watch_cmd(const Options& opt,
-                  const std::vector<std::string>& positional) {
-  if (positional.size() != 1) {
-    std::fprintf(stderr, "watch: expected exactly one job id\n");
-    return 2;
-  }
-  try {
-    std::size_t seen = 0;
-    const std::size_t failed = sweepd::watch_job(
-        daemon_endpoint(opt, "watch"), positional[0],
-        [&](std::size_t index, const sweep::SummaryRow& row) {
-          ++seen;
-          if (!opt.quiet)
-            std::printf("row %4zu  %-40s %s\n", index, row.label.c_str(),
-                        row.ok ? "ok" : row.error.c_str());
-        });
-    std::printf("%s complete: %zu row(s) streamed, %zu failed\n",
-                positional[0].c_str(), seen, failed);
-    return failed == 0 ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "watch: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// `shutdown --connect EP`.
-int run_shutdown_cmd(const Options& opt) {
-  try {
-    sweepd::shutdown_daemon(daemon_endpoint(opt, "shutdown"));
-    std::printf("daemon shut down\n");
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "shutdown: %s\n", e.what());
-    return 1;
-  }
-}
-
 bool parse_shard(const std::string& text, Options& opt) {
   const std::size_t slash = text.find('/');
   if (slash == std::string::npos || slash == 0 ||
@@ -606,12 +353,6 @@ int main(int argc, char** argv) {
 
   const bool merging = opt.sweep_name == "merge";
   const bool compacting = opt.sweep_name == "compact";
-  // Daemon-mode subcommands (docs/sweepd.md): positionals are job ids or
-  // (for submit) the sweep name.
-  const bool daemon_cmd =
-      opt.sweep_name == "worker" || opt.sweep_name == "submit" ||
-      opt.sweep_name == "status" || opt.sweep_name == "results" ||
-      opt.sweep_name == "watch" || opt.sweep_name == "shutdown";
   std::vector<std::string> positional_journals;
 
   for (int i = 2; i < argc; ++i) {
@@ -633,15 +374,8 @@ int main(int argc, char** argv) {
           opt.controls.push_back(sweep::ControlSpec::parse(spec));
         else if (arg == "--source")
           opt.sources.push_back(sweep::SourceSpec::parse(spec));
-        else if (arg == "--integrator") {
+        else if (arg == "--integrator")
           opt.integrator = sweep::IntegratorSpec::parse(spec);
-          const std::string typed = split_spec_string(spec).kind;
-          if (opt.integrator.kind != typed)
-            std::fprintf(stderr,
-                         "warning: integrator '%s' is deprecated and runs "
-                         "as '%s'\n",
-                         typed.c_str(), opt.integrator.kind.c_str());
-        }
         else
           opt.platform = sweep::PlatformSpec::parse(spec);
       } catch (const std::exception& e) {
@@ -700,20 +434,12 @@ int main(int argc, char** argv) {
       opt.refine_options.max_depth = std::atoi(next());
     else if (arg == "--quiet")
       opt.quiet = true;
-    else if (arg == "--connect")
-      opt.connect = next();
-    else if (arg == "--once")
-      opt.once = true;
-    else if (arg == "--fault")
-      opt.fault_spec = next();
-    else if (arg == "--max-reconnects")
-      opt.max_reconnects = std::atol(next());
     else if (arg == "--fsync")
       opt.fsync = true;
     else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    } else if ((merging || compacting || daemon_cmd) &&
+    } else if ((merging || compacting) &&
                arg.rfind("--", 0) != 0) {
       positional_journals.push_back(arg);
     } else {
@@ -726,24 +452,6 @@ int main(int argc, char** argv) {
   if (!compacting && !opt.out_path.empty()) {
     std::fprintf(stderr, "--out only applies to the compact subcommand\n");
     return 2;
-  }
-  if (!daemon_cmd && !opt.connect.empty()) {
-    std::fprintf(stderr,
-                 "--connect only applies to the worker/submit/status/"
-                 "results/watch/shutdown subcommands\n");
-    return 2;
-  }
-  if (daemon_cmd) {
-    if (opt.sweep_name == "worker") return run_worker_cmd(opt);
-    if (opt.sweep_name == "submit")
-      return run_submit(opt, positional_journals);
-    if (opt.sweep_name == "status")
-      return run_status_cmd(opt, positional_journals);
-    if (opt.sweep_name == "results")
-      return run_results_cmd(opt, positional_journals);
-    if (opt.sweep_name == "watch")
-      return run_watch_cmd(opt, positional_journals);
-    return run_shutdown_cmd(opt);
   }
   if (merging) return run_merge(positional_journals, opt);
   if (compacting) return run_compact(positional_journals, opt);
