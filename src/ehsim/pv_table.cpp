@@ -30,7 +30,7 @@ PvTable::PvTable(const SolarCell& cell, PvTableSpec spec) {
     double seed = il;
     for (std::size_t vi = 0; vi < nv_; ++vi) {
       const double v = static_cast<double>(vi) * dv_;
-      const double i = cell.current_from_photo_seeded(v, il, seed);
+      const double i = cell.solve(v, il, seed).i;
       i_[gi * nv_ + vi] = i;
       seed = i;
     }
@@ -44,7 +44,7 @@ PvTable::PvTable(const SolarCell& cell, PvTableSpec spec) {
     double seed = il;
     for (std::size_t vi = 0; vi + 1 < nv_; ++vi) {
       const double v = (static_cast<double>(vi) + 0.5) * dv_;
-      const double exact = cell.current_from_photo_seeded(v, il, seed);
+      const double exact = cell.solve(v, il, seed).i;
       seed = exact;
       max_abs_error_ =
           std::max(max_abs_error_, std::abs(current(v, g) - exact));

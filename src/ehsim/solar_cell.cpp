@@ -11,17 +11,18 @@ namespace {
 // Residual of eq. 4 in the paper, F(I) = 0 at the operating point:
 //   F(I) = Il - I0*(exp((V+Rs*I)/vt) - 1) - (V+Rs*I)/Rp - I
 // dF/dI = -I0*Rs/vt * exp((V+Rs*I)/vt) - Rs/Rp - 1   (always < -1)
+// dF/dV = -I0/vt * exp((V+Rs*I)/vt) - 1/Rp,  dF/dIl = 1
 struct Residual {
   const SolarCellParams& p;
   double v;
   double il;
 
   // F and dF/dI share the same exp(vd/vt); evaluating it once halves the
-  // dominant cost of every Newton iteration without changing a bit of the
-  // result (identical vd, identical exp, same arithmetic as before).
-  void eval(double i, double& f, double& df) const {
+  // dominant cost of every Newton iteration. `e` is handed back so the
+  // root's dF/dV needs no exp of its own.
+  void eval(double i, double& f, double& df, double& e) const {
     const double vd = v + p.rs * i;
-    const double e = std::exp(vd / p.vt_eff);
+    e = std::exp(vd / p.vt_eff);
     f = il - p.i0 * (e - 1.0) - vd / p.rp - i;
     df = -p.i0 * p.rs / p.vt_eff * e - p.rs / p.rp - 1.0;
   }
@@ -46,40 +47,32 @@ double SolarCell::photo_current(double irradiance) const {
 double SolarCell::current_from_photo(double v, double il) const {
   // The residual is strictly decreasing, so Newton from any point converges
   // monotonically after at most one overshoot; start at the photo-current.
-  return newton_current(v, il, il);
+  return solve(v, il, il).i;
 }
 
-double SolarCell::current_from_photo_seeded(double v, double il,
-                                            double i_seed) const {
-  return newton_current(v, il, i_seed);
-}
-
-double SolarCell::current_from_photo_counted(double v, double il,
-                                             double i_seed,
-                                             std::uint32_t* iters) const {
-  return newton_current(v, il, i_seed, iters);
-}
-
-double SolarCell::newton_current(double v, double il, double i_start,
-                                 std::uint32_t* iters) const {
+PvSolve SolarCell::solve(double v, double il, double i_seed) const {
   const Residual res{params_, v, il};
-  double i = i_start;
-  for (int iter = 0; iter < 100; ++iter) {
-    double f, df;
-    res.eval(i, f, df);
+  double i = i_seed;
+  double f = 0.0, df = -1.0, e = 0.0;
+  std::uint32_t iters = 0;
+  while (iters < 100) {
+    res.eval(i, f, df, e);
+    ++iters;
     double step = f / df;
     // Damp enormous steps caused by the exponential blowing up.
     const double limit = std::max(1.0, std::abs(i)) * 10.0 + 1.0;
     if (std::abs(step) > limit) step = step > 0.0 ? limit : -limit;
     const double next = i - step;
-    if (std::abs(next - i) < 1e-12 * (1.0 + std::abs(next))) {
-      if (iters != nullptr) *iters = static_cast<std::uint32_t>(iter + 1);
-      return next;
-    }
+    const bool converged =
+        std::abs(next - i) < 1e-12 * (1.0 + std::abs(next));
     i = next;
+    if (converged) break;
   }
-  if (iters != nullptr) *iters = 100;
-  return i;  // best effort; residual tests bound the error
+  // Implicit-function slopes at the root: dI/dx = -(dF/dx) / (dF/dI),
+  // from the last iteration's (e, df). After 100 unconverged iterations
+  // `i` is a best effort; residual tests bound the error.
+  const double dfdv = -params_.i0 / params_.vt_eff * e - 1.0 / params_.rp;
+  return {i, iters, -dfdv / df, -1.0 / df};
 }
 
 double SolarCell::current(double v, double irradiance) const {

@@ -37,6 +37,14 @@ struct MppPoint {
   double power;    ///< W at maximum power
 };
 
+/// One converged solve of eq. 4 (SolarCell::solve).
+struct PvSolve {
+  double i;             ///< terminal current (A)
+  std::uint32_t iters;  ///< Newton iterations executed
+  double di_dv;         ///< dI/dV at the root (A/V, negative)
+  double di_dil;        ///< dI/dIl at the root (in (0, 1])
+};
+
 /// Lumped PV cell/array. Thread-compatible: const methods are re-entrant.
 class SolarCell {
  public:
@@ -49,20 +57,18 @@ class SolarCell {
 
   /// Terminal current at terminal voltage `v` given photo-current `il`.
   /// Negative values mean the cell is absorbing (v beyond open circuit).
+  /// Cold start: solve(v, il, il).i.
   double current_from_photo(double v, double il) const;
 
-  /// Same solve but starting Newton from `i_seed` instead of `il`. With a
-  /// seed near the root this converges in 1-3 iterations; the converged
-  /// value agrees with current_from_photo to the solver tolerance (~1e-12
-  /// relative) but is not guaranteed bit-identical, so callers needing
-  /// exact reproducibility must use current_from_photo.
-  double current_from_photo_seeded(double v, double il, double i_seed) const;
-
-  /// current_from_photo_seeded that also reports the number of Newton
-  /// iterations executed (solver observability; `iters` may be null).
-  /// Seeding with `il` makes it bit-identical to current_from_photo.
-  double current_from_photo_counted(double v, double il, double i_seed,
-                                    std::uint32_t* iters) const;
+  /// The one Newton solve of eq. 4 for the terminal current at (v, il),
+  /// started from `i_seed`. Damped Newton stops once a step falls below
+  /// 1e-12 relative, from any seed, so the root agrees with every other
+  /// seed's to that tolerance (~1e-15 A on the paper's array); the bits
+  /// depend on the seed. A seed near the root converges in 1-3
+  /// iterations. The result also carries the root's slopes, taken from
+  /// the last iteration's dF/dI (no extra exp), so a caller can predict
+  /// the next root of a slowly moving operating point.
+  PvSolve solve(double v, double il, double i_seed) const;
 
   /// Terminal current at voltage `v` under irradiance `g`.
   double current(double v, double irradiance) const;
@@ -97,11 +103,6 @@ class SolarCell {
                              double g_ref = 1000.0);
 
  private:
-  /// Damped Newton on the implicit diode equation from `i_start`.
-  /// `iters` (optional) receives the number of iterations executed.
-  double newton_current(double v, double il, double i_start,
-                        std::uint32_t* iters = nullptr) const;
-
   SolarCellParams params_;
 };
 

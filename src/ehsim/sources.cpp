@@ -54,22 +54,22 @@ double PvSource::evaluate(double v, double t) const {
     return solve_cache_.i;
   }
 
-  // Start at the photo-current (see SolarCell::current_from_photo).
+  // Seed at the photo-current (a cold start) unless the operating point
+  // moved only a little since the last solve; then predict the new root
+  // to first order from that solve's slopes.
   double seed = il;
-  if (table_ && solve_cache_.valid &&
+  if (solve_cache_.valid &&
       std::abs(v - solve_cache_.v) < kWarmStartDeltaV &&
       std::abs(il - solve_cache_.il) < kWarmStartDeltaIl) {
-    // Off-table fallback in tabulated mode: the exact-reproducibility
-    // contract is already relaxed, so warm-start the Newton iteration.
-    seed = solve_cache_.i;
+    seed = solve_cache_.i + solve_cache_.di_dv * (v - solve_cache_.v) +
+           solve_cache_.di_dil * (il - solve_cache_.il);
     ++stats_.warm_starts;
   }
-  std::uint32_t iters = 0;
-  const double i = cell_.current_from_photo_counted(v, il, seed, &iters);
+  const PvSolve s = cell_.solve(v, il, seed);
   ++stats_.newton_solves;
-  stats_.newton_iterations += iters;
-  solve_cache_ = {v, il, i, true};
-  return i;
+  stats_.newton_iterations += s.iters;
+  solve_cache_ = {v, il, s.i, s.di_dv, s.di_dil, true};
+  return s.i;
 }
 
 double PvSource::available_power(double t) const {

@@ -67,18 +67,27 @@ class CurrentSource {
 /// PV array driven by an irradiance profile G(t) in W/m^2.
 ///
 /// Two evaluation modes:
-///   * Mode::kExact (default) -- every current() runs the exact Newton
-///     solve, so results are bit-identical to calling
-///     SolarCell::current directly. A memo of the last converged solve
-///     short-circuits the repeated evaluations the co-simulation loop
-///     produces at segment boundaries (FSAL restarts, metric sampling)
-///     without perturbing any bit.
+///   * Mode::kExact (default) -- every current() is an exact Newton solve
+///     of eq. 4 (SolarCell::solve) to its 1e-12 relative stop, so it
+///     agrees with SolarCell::current to solver tolerance. Runs are
+///     deterministic: the same call sequence gives the same bits.
 ///   * Mode::kTabulated -- current() answers from a precomputed bilinear
 ///     I(V, G) table (PvTable) whose worst-case error is measured at
 ///     construction; outside the tabulated rectangle it falls back to the
-///     exact Newton solve, warm-started from the last converged current
-///     when the operating point moved by less than kWarmStartDeltaV /
-///     kWarmStartDeltaIl.
+///     same exact solve.
+///
+/// Each solve is seeded from the last one: when the operating point moved
+/// by less than kWarmStartDeltaV / kWarmStartDeltaIl, the seed is the last
+/// root plus its slopes times the move, i + dI/dV*dV + dI/dIl*dIl;
+/// otherwise it is the photo-current. A memo of the last converged solve
+/// short-circuits exact repeats of (v, il), which the co-simulation loop
+/// produces at segment boundaries (FSAL restarts, metric sampling).
+///
+/// History: because the seed comes from the previous solve, a result
+/// depends on the source's call history at the ~1e-15 A level (the
+/// solver's stop), not only on (v, t). Two fresh sources fed the same
+/// calls agree bit for bit; the sweep path builds one source per
+/// scenario, so its bytes do not depend on thread count or shard.
 ///
 /// The caches make const calls stateful: a PvSource must not be shared by
 /// concurrently running simulations. Every engine/sweep worker constructs
@@ -87,8 +96,8 @@ class PvSource : public CurrentSource {
  public:
   enum class Mode { kExact, kTabulated };
 
-  /// Operating-point deltas below which the tabulated mode's off-table
-  /// fallback reuses the last converged current as the Newton seed.
+  /// Operating-point deltas below which a solve is seeded from the last
+  /// converged one (the slope-predicted seed) instead of the photo-current.
   static constexpr double kWarmStartDeltaV = 0.25;   // V
   static constexpr double kWarmStartDeltaIl = 0.25;  // A
 
@@ -145,9 +154,9 @@ class PvSource : public CurrentSource {
   Mode mode_;
   std::shared_ptr<const PvTable> table_;
 
-  // Last converged Newton solve (memo + warm-start seed).
+  // Last converged Newton solve with its slopes (memo + predicted seed).
   struct SolveCache {
-    double v = 0.0, il = 0.0, i = 0.0;
+    double v = 0.0, il = 0.0, i = 0.0, di_dv = 0.0, di_dil = 0.0;
     bool valid = false;
   };
   mutable SolveCache solve_cache_;

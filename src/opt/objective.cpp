@@ -108,9 +108,7 @@ std::vector<double> SweepStabilityObjective::operator()(
         shortest_double(base_.t_end) +
         "&seed=" + std::to_string(base_.seed) +
         "&cap=" + shortest_double(base_.capacitance_f) +
-        "&pv=" +
-        (base_.pv_mode == ehsim::PvSource::Mode::kExact ? "exact"
-                                                        : "tabulated") +
+        sweep::pv_identity(base_.pv_mode) +
         "&platform=" + base_.platform.name +
         sweep::integrator_identity(base_.integrator);
     rows = runner.resume(specs, options_.journal_path, identity).rows;

@@ -53,7 +53,7 @@ struct SimConfig {
   // the Matlab ODE23 default (RelTol 1e-3) the paper's Section III study
   // ran on. This is the one place the default numerics live: the sweep
   // registry's `rk23pi` kind reads its parameter defaults from here, and
-  // `rk23` replaces them with the legacy engine's byte-pinned settings
+  // `rk23` replaces them with the legacy engine's reference settings
   // (see docs/performance.md).
   double max_segment_s = 0.25;   ///< outer-loop stop-point spacing
   double max_ode_step_s = 0.25;  ///< RK23 step ceiling

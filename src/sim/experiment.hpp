@@ -45,9 +45,9 @@ struct SolarScenario {
   double t_end = 16.5 * 3600.0;    ///< 16:30
   std::uint64_t seed = 42;
   double trace_dt_s = 0.1;         ///< weather sampling grid
-  /// PV evaluation mode: kExact reproduces the Newton solve bit for bit;
-  /// kTabulated answers from a measured-error interpolation table (see
-  /// ehsim::PvSource).
+  /// PV evaluation mode: kExact runs the Newton solve to its 1e-12
+  /// relative stop; kTabulated answers from a measured-error
+  /// interpolation table (see ehsim::PvSource).
   ehsim::PvSource::Mode pv_mode = ehsim::PvSource::Mode::kExact;
 };
 

@@ -424,6 +424,12 @@ std::string integrator_identity(const IntegratorSpec& integrator) {
   return "&integrator=" + integrator.spec_string();
 }
 
+std::string pv_identity(ehsim::PvSource::Mode pv_mode) {
+  return std::string("&pv=") +
+         (pv_mode == ehsim::PvSource::Mode::kExact ? "exact" : "tabulated") +
+         "&pv_solve=2";
+}
+
 std::string sweep_identity(const std::string& sweep_name, double minutes,
                            ehsim::PvSource::Mode pv_mode,
                            const std::vector<ControlSpec>& controls,
@@ -431,9 +437,7 @@ std::string sweep_identity(const std::string& sweep_name, double minutes,
                            const IntegratorSpec& integrator,
                            const PlatformSpec& platform) {
   std::string id = sweep_name + "?minutes=" + shortest_double(minutes) +
-                   "&pv=" +
-                   (pv_mode == ehsim::PvSource::Mode::kExact ? "exact"
-                                                             : "tabulated");
+                   pv_identity(pv_mode);
   for (const auto& c : controls) id += "&control=" + c.spec_string();
   for (const auto& s : sources) id += "&source=" + s.spec_string();
   id += integrator_identity(integrator);

@@ -196,10 +196,18 @@ void write_canonical_journal(const std::string& path,
 /// included. Shared by sweep_identity and the opt layer's journals.
 std::string integrator_identity(const IntegratorSpec& integrator);
 
+/// The PV part of a journal identity: the PV mode plus the version of the
+/// PV solve that computed the rows, "&pv=<exact|tabulated>&pv_solve=2".
+/// Version 2 seeds every Newton solve from the last one (ehsim::PvSource);
+/// a header without the token holds rows from cold-start solves and fails
+/// the header match, in both PV modes. Shared by sweep_identity and the
+/// opt layer's journals.
+std::string pv_identity(ehsim::PvSource::Mode pv_mode);
+
 /// Canonical identity string of a sweep invocation, used as
 /// JournalHeader::sweep by the pns_sweep CLI: the preset name plus every
 /// knob that changes what the scenarios compute -- the window length, the
-/// PV mode, the full spec strings of any --control/--source overrides,
+/// PV mode and solve version (pv_identity), the full spec strings of any --control/--source overrides,
 /// the integrator (integrator_identity: a header without "&integrator="
 /// always means rk23) and the platform (appended only when it differs
 /// from the default "mono", which computes identically whether spelled or

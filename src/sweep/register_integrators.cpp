@@ -10,9 +10,9 @@
 //           identically.
 //   rk23    the original adaptive Bogacki-Shampine stepper with the
 //           clamped per-step error rule and bisection event roots, at its
-//           own legacy numerics -- bit-identical to every output published
-//           before rk23pi became the default, and the byte-pinned
-//           regression leg.
+//           own legacy numerics -- the reference numerics the paper
+//           suite's error budget measures rk23pi against, and CI's
+//           deterministic regression leg.
 // Both accept numeric overrides so a sweep can trade accuracy against
 // wall-clock from the command line: `--integrator rk23pi:rtol=1e-05`.
 // A new engine registers the same way:
@@ -25,7 +25,7 @@ namespace pns::sweep {
 
 namespace {
 
-// The legacy rk23 engine's numerics, pinned byte for byte.
+// The legacy rk23 engine's numerics (the reference settings).
 constexpr double kRk23SegmentS = 0.05;
 constexpr double kRk23MaxStepS = 0.01;
 constexpr double kRk23RelTol = 1e-6;

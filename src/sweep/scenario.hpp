@@ -186,8 +186,8 @@ struct ScenarioSpec {
   /// PV evaluation mode (exact Newton vs measured-error table); applies to
   /// every source kind that models the PV array.
   ehsim::PvSource::Mode pv_mode = ehsim::PvSource::Mode::kExact;
-  /// Integration engine; the default reproduces the original RK23 stepper
-  /// bit for bit. Like pv_mode this is a whole-sweep knob, not an axis.
+  /// Integration engine; the default is rk23pi (IntegratorSpec{}). Like
+  /// pv_mode this is a whole-sweep knob, not an axis.
   IntegratorSpec integrator{};
 
   // Storage node and regulation band.

@@ -115,6 +115,19 @@ grep -q "integrator=rk23batch" err.txt || \
   fail "rk23batch journal refusal: pinned identity not named"
 [ -e bat_resumed.csv ] && fail "refused rk23batch resume wrote its CSV"
 
+# --- a journal written before PV solves were seeded (no "&pv_solve=" in
+# its header) is refused on resume: non-zero exit, no CSV
+grep -q "pv=exact&pv_solve=2" w.jsonl || fail "journal header lacks pv_solve"
+sed '1s/&pv_solve=2//; 1s/,"crc":"[0-9a-f]*"}$/}/' w.jsonl > cold.jsonl
+grep -q "pv_solve" cold.jsonl && fail "pv_solve token not stripped"
+if "$BIN" quick --quiet --integrator rk23pi --resume --journal cold.jsonl \
+  --csv cold_resumed.csv >/dev/null 2>err.txt; then
+  fail "journal without pv_solve resumed"
+fi
+grep -q "refusing to mix sweeps" err.txt || \
+  fail "pv_solve journal refusal: no mismatch diagnostic"
+[ -e cold_resumed.csv ] && fail "refused pre-pv_solve resume wrote its CSV"
+
 # --- removed commands and flags are refused without writing anything
 if "$BIN" worker --connect tcp:127.0.0.1:1 --csv worker.csv \
   >/dev/null 2>err.txt; then

@@ -199,6 +199,45 @@ TEST(SimEngine, PowerNeutralityUnderConstantSun) {
   EXPECT_GT(r.controller.interrupts, 20u);
 }
 
+TEST(SimEngine, FreshPvSourcesGiveBitIdenticalRuns) {
+  // An exact-mode PvSource seeds each Newton solve from its previous one,
+  // so its answers depend on its call history at the solver's ~1e-15 A
+  // stop. A run owns its source from the first call, so two engines on
+  // two fresh sources must still agree bit for bit, under both engines.
+  for (const char* kind : {"rk23pi", "rk23"}) {
+    auto run = [&] {
+      ehsim::PvSource source(paper_pv_array(), [](double t) {
+        return 650.0 + 300.0 * std::sin(t / 7.0);
+      });
+      auto workload = make_workload();
+      SimConfig cfg;
+      cfg.t_end = 90.0;
+      cfg.record_series = false;
+      sweep::ScenarioSpec spec;
+      spec.integrator = sweep::IntegratorSpec::parse(kind);
+      sweep::resolve_integrator(spec, cfg);
+      SimEngine engine(xu4(), source, workload, cfg,
+                       ctl::ControllerConfig{});
+      return engine.run();
+    };
+    const auto a = run();
+    const auto b = run();
+    SCOPED_TRACE(kind);
+    EXPECT_GT(a.metrics.pv_solve.warm_starts, 0u);
+    EXPECT_EQ(a.metrics.instructions, b.metrics.instructions);
+    EXPECT_EQ(a.metrics.energy_harvested_j, b.metrics.energy_harvested_j);
+    EXPECT_EQ(a.metrics.energy_consumed_j, b.metrics.energy_consumed_j);
+    EXPECT_EQ(a.metrics.time_in_band_s, b.metrics.time_in_band_s);
+    EXPECT_EQ(a.metrics.vc_stats.mean(), b.metrics.vc_stats.mean());
+    EXPECT_EQ(a.metrics.vc_stats.min(), b.metrics.vc_stats.min());
+    EXPECT_EQ(a.metrics.vc_stats.max(), b.metrics.vc_stats.max());
+    EXPECT_EQ(a.metrics.brownouts, b.metrics.brownouts);
+    EXPECT_EQ(a.controller.interrupts, b.controller.interrupts);
+    EXPECT_EQ(a.metrics.pv_solve.newton_iterations,
+              b.metrics.pv_solve.newton_iterations);
+  }
+}
+
 TEST(SimEngine, GovernorPerformanceDiesOnSolar) {
   auto cell = paper_pv_array();
   ehsim::PvSource source(cell, [](double) { return 1000.0; });

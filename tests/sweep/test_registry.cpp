@@ -111,7 +111,7 @@ void expect_numerics(const sim::SimConfig& got, const sim::SimConfig& want,
 }
 
 TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
-  // Bare rk23 is the byte-pinned legacy leg: exactly the numerics every
+  // Bare rk23 is the legacy reference leg: exactly the numerics every
   // SimConfig carried while it was the default engine.
   sim::SimConfig legacy;
   legacy.max_segment_s = 0.05;

@@ -286,6 +286,29 @@ TEST(SweepRunner, Rk23PiAggregateBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(csv_of(serial), csv_of(parallel));
 }
 
+TEST(SweepRunner, ExactPvModeBitIdenticalAcrossThreadCounts) {
+  // Exact-mode PV solves are seeded from the previous solve of the same
+  // source. Every scenario builds its own source, so which worker runs it
+  // -- and what that worker ran before -- cannot move a bit.
+  for (const char* kind : {"rk23pi", "rk23"}) {
+    auto sw = determinism_sweep();
+    sw.base.pv_mode = ehsim::PvSource::Mode::kExact;
+    sw.base.integrator = IntegratorSpec::parse(kind);
+    const auto serial = runner_with(1).run(sw);
+    const auto parallel = runner_with(4).run(sw);
+    SCOPED_TRACE(kind);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_TRUE(serial[i].ok) << serial[i].error;
+      ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
+      EXPECT_GT(serial[i].result.metrics.pv_solve.warm_starts, 0u);
+      EXPECT_EQ(serial[i].result.metrics.energy_harvested_j,
+                parallel[i].result.metrics.energy_harvested_j);
+    }
+    EXPECT_EQ(csv_of(serial), csv_of(parallel));
+  }
+}
+
 TEST(SweepRunner, AssetReuseBitIdenticalToRebuilding) {
   // Cached weather traces are pure functions of their keys: disabling
   // the per-worker asset cache must not move a single output bit.
@@ -318,7 +341,7 @@ TEST(RunScenario, Rk23PiStaysCloseToDefaultIntegrator) {
 }
 
 TEST(RunScenario, Rk23PiStaysWithinToleranceOfRk23Reference) {
-  // rk23 (the bit-exact published reference) uses different numerics, so
+  // rk23 (the reference numerics) uses different settings, so
   // agreement over a seeded grid is tolerance-level, not bitwise: rk23pi
   // must land on the same physics. Restrict to warm daytime grids (vc0
   // at the MPP, harvest present); brownout timing near the cutoff or at

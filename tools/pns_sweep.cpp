@@ -126,14 +126,14 @@ void usage(const char* argv0) {
       "(default 60)\n"
       "  --csv PATH    write the aggregate rows as CSV\n"
       "  --json PATH   write the aggregate rows as JSON\n"
-      "  --pv-mode M   PV solve mode: exact (default, bit-reproducible)\n"
-      "                or tabulated (interpolation table with a measured\n"
-      "                error bound, ~3x faster sweep wall-clock)\n"
+      "  --pv-mode M   PV solve mode: exact (default; Newton solved to\n"
+      "                1e-12, deterministic) or tabulated (interpolation\n"
+      "                table with a measured error bound)\n"
       "  --integrator S  integration engine spec string: rk23pi\n"
       "                [:rtol=...,seg=...,coast=...] (default; PI step\n"
       "                control + dense events + coasting) or rk23 (the\n"
-      "                legacy engine, byte-identical to outputs published\n"
-      "                while it was the default, ~6x slower);\n"
+      "                legacy engine and reference numerics, ~6x\n"
+      "                slower);\n"
       "                docs/performance.md has the grammar\n"
       "  --platform S  platform topology spec string: mono (default,\n"
       "                the paper's single-domain board) or a multi-domain\n"
