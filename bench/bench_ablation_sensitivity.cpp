@@ -4,9 +4,12 @@
 // design's key degrees of freedom. This bench perturbs each one over a
 // 4x range around the paper optimum while holding the others fixed and
 // reports the voltage-stability objective, exposing which knobs the
-// design is actually sensitive to.
+// design is actually sensitive to. Every perturbed tuning is scored in
+// one SweepStabilityObjective batch, so the runs fan out across every
+// core.
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "opt/objective.hpp"
@@ -14,41 +17,48 @@
 
 int main() {
   using namespace pns;
-  const soc::Platform board = soc::Platform::odroid_xu4();
-
-  sim::SolarScenario scenario;
+  sweep::ScenarioSpec scenario;  // the paper's board and node
   scenario.condition = trace::WeatherCondition::kPartialSun;
   scenario.t_start = 12.0 * 3600.0;
   scenario.t_end = scenario.t_start + 600.0;
   scenario.seed = 17;
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_series = false;
-  const opt::StabilityObjective objective(board, scenario, cfg);
+  const opt::SweepStabilityObjective objective(scenario);
 
   const opt::ParamSet base{0.144, 0.0479, 0.120, 0.479};
   const std::vector<double> scales{0.5, 0.71, 1.0, 1.41, 2.0};
+
+  // Candidate 0 is the paper optimum; then, per scale, the four
+  // one-at-a-time perturbations (Vwidth, Vq, alpha, beta).
+  std::vector<opt::ParamSet> candidates{base};
+  for (double k : scales) {
+    for (int which = 0; which < 4; ++which) {
+      opt::ParamSet p = base;
+      if (which == 0) p.v_width *= k;
+      if (which == 1) p.v_q *= k;
+      if (which == 2) p.alpha *= k;
+      if (which == 3) p.beta *= k;
+      candidates.push_back(p);
+    }
+  }
+  const std::vector<double> scores = objective(candidates);
 
   std::printf("Ablation: one-at-a-time parameter sensitivity "
               "(time-in-band %%, 10-minute partial sun)\n\n");
 
   ConsoleTable table({"scale", "Vwidth only", "Vq only", "alpha only",
                       "beta only"});
-  for (double k : scales) {
-    auto with = [&](int which) {
-      opt::ParamSet p = base;
-      if (which == 0) p.v_width *= k;
-      if (which == 1) p.v_q *= k;
-      if (which == 2) p.alpha *= k;
-      if (which == 3) p.beta *= k;
-      const double s = objective(p);
-      return s < 0.0 ? std::string("invalid") : fmt_double(100.0 * s, 1);
-    };
-    table.add_row({fmt_double(k, 2), with(0), with(1), with(2), with(3)});
+  auto cell = [](double s) {
+    return s < 0.0 ? std::string("invalid") : fmt_double(100.0 * s, 1);
+  };
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    const double* row = &scores[1 + 4 * i];
+    table.add_row({fmt_double(scales[i], 2), cell(row[0]), cell(row[1]),
+                   cell(row[2]), cell(row[3])});
   }
   table.print(std::cout);
 
   std::printf("\nbaseline (paper optimum): %.1f %% in band\n",
-              100.0 * objective(base));
+              100.0 * scores[0]);
   std::printf(
       "\nreading: stability degrades fastest when Vq grows towards Vwidth\n"
       "(threshold leapfrogging) or when beta falls towards alpha (every\n"

@@ -8,28 +8,26 @@
 #include <cstdio>
 #include <iostream>
 
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pns;
-  const soc::Platform board = soc::Platform::odroid_xu4();
-
-  sim::SolarScenario scenario;
+  sweep::ScenarioSpec scenario;  // PNS on the paper's board and node
   scenario.condition = trace::WeatherCondition::kFullSun;
   scenario.t_start = 10.5 * 3600.0;
   scenario.t_end = 16.5 * 3600.0;
   scenario.seed = 403155;  // the paper's dataset DOI suffix, for fun
-
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_interval_s = 5.0;
+  scenario.record_series = true;
+  scenario.record_interval_s = 5.0;
   // The paper's recording starts mid-day on an already-running system;
   // begin at a near-balanced OPP instead of cold-starting at the bottom.
-  cfg.initial_opp = soc::OperatingPoint{5, {4, 2}};
+  scenario.initial_opp = soc::OperatingPoint{5, {4, 2}};
+  const auto cfg = sweep::make_sim_config(scenario);
 
   std::printf("Fig. 12: VC under full sun, 10:30-16:30, 47 mF buffer, "
               "target %.1f V +/- 5%%\n\n", cfg.v_target);
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+  const auto r = sweep::run_scenario(scenario);
 
   ConsoleTable traj({"time", "VC (V)", "in band?"});
   const double lo = cfg.v_target * 0.95, hi = cfg.v_target * 1.05;

@@ -9,12 +9,12 @@
 #include <iostream>
 
 #include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/histogram.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pns;
-  const soc::Platform board = soc::Platform::odroid_xu4();
   const auto cell = sim::paper_pv_array();
 
   std::printf("Fig. 13: PV array IV/PV characteristics (full sun)\n\n");
@@ -31,13 +31,11 @@ int main() {
               cell.open_circuit_voltage(1000.0));
 
   // Dwell-time histogram from a 3-hour full-sun controlled run.
-  sim::SolarScenario scenario;
+  sweep::ScenarioSpec scenario;  // PNS on the paper's board and node
   scenario.condition = trace::WeatherCondition::kFullSun;
   scenario.t_start = 11.0 * 3600.0;
   scenario.t_end = 14.0 * 3600.0;
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_series = false;
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+  const auto r = sweep::run_scenario(scenario);
 
   std::printf("time spent at each operating voltage (3 h full sun):\n\n");
   // Re-bin the engine's 50 mV histogram into the 4.0-6.0 V window.

@@ -11,22 +11,20 @@
 #include <cstdio>
 #include <iostream>
 
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pns;
-  const soc::Platform board = soc::Platform::odroid_xu4();
-
-  sim::SolarScenario scenario;
+  sweep::ScenarioSpec scenario;  // PNS on the paper's board and node
   scenario.condition = trace::WeatherCondition::kFullSun;
   scenario.t_start = 10.5 * 3600.0;
   scenario.t_end = 16.5 * 3600.0;
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_interval_s = 5.0;
+  scenario.record_series = true;
+  scenario.record_interval_s = 5.0;
 
   std::printf("Fig. 14: available vs consumed power, full-sun day\n\n");
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+  const auto r = sweep::run_scenario(scenario);
 
   ConsoleTable table({"time", "available (W)", "consumed (W)",
                       "utilised (%)"});

@@ -10,23 +10,21 @@
 #include <iostream>
 
 #include "hw/monitor.hpp"
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pns;
   const soc::Platform board = soc::Platform::odroid_xu4();
 
-  sim::SolarScenario scenario;
+  sweep::ScenarioSpec scenario;  // PNS on the paper's board and node
   scenario.condition = trace::WeatherCondition::kPartialSun;  // busy case
   scenario.t_start = 12.0 * 3600.0;
   scenario.t_end = scenario.t_start + 1800.0;
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_series = false;
 
   std::printf("Fig. 15: controller CPU overhead, 30-minute partial-sun "
               "run (worst-case event rate)\n\n");
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+  const auto r = sweep::run_scenario(scenario);
   const auto& s = r.controller;
   const double elapsed = r.metrics.duration();
 

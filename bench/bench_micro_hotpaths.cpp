@@ -15,7 +15,7 @@
 #include "ehsim/sources.hpp"
 #include "hw/monitor.hpp"
 #include "sim/experiment.hpp"
-#include "sweep/registry.hpp"
+#include "sweep/scenario.hpp"
 
 namespace {
 
@@ -242,28 +242,20 @@ void BM_MonitorThresholdProgramming(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorThresholdProgramming);
 
-/// Applies a registered integrator kind's default tuning, so these
-/// benches always measure exactly what `--integrator <kind>` runs.
-void apply_integrator(sim::SimConfig& cfg, const char* kind) {
-  sweep::ScenarioSpec spec;
-  spec.integrator = sweep::IntegratorSpec::parse(kind);
-  sweep::resolve_integrator(spec, cfg);
-}
-
+/// One simulated minute of PNS under partial sun, run exactly as a sweep
+/// row with `--integrator <kind>` is (a fresh weather trace each time).
 void bench_end_to_end(benchmark::State& state,
                       ehsim::PvSource::Mode pv_mode, bool pi = false) {
+  sweep::ScenarioSpec scenario;
+  scenario.condition = trace::WeatherCondition::kPartialSun;
+  scenario.t_start = 12.0 * 3600.0;
+  scenario.t_end = scenario.t_start + 60.0;
+  scenario.pv_mode = pv_mode;
+  // The non-pi rows keep timing the rk23 engine, as they have since the
+  // first BENCH report, so the trajectory stays comparable.
+  scenario.integrator = sweep::IntegratorSpec::parse(pi ? "rk23pi" : "rk23");
   for (auto _ : state) {
-    sim::SolarScenario scenario;
-    scenario.condition = trace::WeatherCondition::kPartialSun;
-    scenario.t_start = 12.0 * 3600.0;
-    scenario.t_end = scenario.t_start + 60.0;
-    scenario.pv_mode = pv_mode;
-    auto cfg = sim::solar_sim_config(scenario);
-    cfg.record_series = false;
-    // The non-pi rows keep timing the legacy engine, as they have since
-    // the first BENCH report, so the trajectory stays comparable.
-    apply_integrator(cfg, pi ? "rk23pi" : "rk23");
-    const auto r = sim::run_solar_power_neutral(xu4(), scenario, cfg);
+    const auto r = sweep::run_scenario(scenario);
     benchmark::DoNotOptimize(r.metrics.instructions);
   }
 }
@@ -298,16 +290,14 @@ void bench_quiescent_hour(benchmark::State& state, bool coast) {
   // history and the iterations would not time the same work.
   const auto cell = sim::paper_pv_array();
   const auto opp = sim::balanced_opp(xu4(), cell.mpp(700.0).power);
-  sim::SolarScenario scenario;  // only used for the config shape
+  sweep::ScenarioSpec scenario;  // only used for the config shape
   scenario.t_start = 0.0;
   scenario.t_end = 3600.0;
   for (auto _ : state) {
     ehsim::PvSource source(cell, [](double) { return 700.0; });
     source.set_irradiance_hold(
         [](double) { return std::numeric_limits<double>::infinity(); });
-    auto cfg = sim::solar_sim_config(scenario);
-    cfg.record_series = false;
-    apply_integrator(cfg, "rk23pi");
+    auto cfg = sweep::make_sim_config(scenario);
     cfg.coast = coast;
     auto r = sim::run_pv_control(xu4(), source,
                                  sim::ControlSelection::pinned(opp), cfg,

@@ -22,9 +22,8 @@ int main(int argc, char** argv) {
                                       : 1234;
 
   const soc::Platform board = soc::Platform::odroid_xu4();
-  // Batch objective: each search stage's candidates are evaluated through
-  // sweep::SweepRunner in parallel (score-identical to the point-wise
-  // StabilityObjective::standard).
+  // Each search stage's candidates are evaluated as one batch through
+  // sweep::SweepRunner, in parallel.
   const auto objective = opt::SweepStabilityObjective::standard(board, seed);
 
   // Phase 1: global random exploration (log-uniform).

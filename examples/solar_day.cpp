@@ -6,28 +6,44 @@
 //                             [hours] [seed] [out.csv] [start-hour]
 //
 // Defaults reproduce the paper's Fig. 12 setting: full sun, 10:30-16:30.
+// An empty out.csv ("") skips the trace dump, so a start hour can be
+// given without one. Bad arguments exit 2 with a one-line diagnostic.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-pns::trace::WeatherCondition parse_condition(const std::string& s) {
-  using pns::trace::WeatherCondition;
-  if (s == "full-sun") return WeatherCondition::kFullSun;
-  if (s == "partial-sun") return WeatherCondition::kPartialSun;
-  if (s == "cloud") return WeatherCondition::kCloud;
-  if (s == "hail") return WeatherCondition::kHail;
-  std::fprintf(stderr,
-               "unknown condition '%s' (want full-sun|partial-sun|cloud|"
-               "hail)\n",
-               s.c_str());
-  std::exit(2);
+/// Parses the whole of `text` as T; nullopt on any leftover character.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// A finite, strictly positive number of hours, or exit 2.
+double positive_hours(const char* what, std::string_view text) {
+  const auto v = parse_number<double>(text);
+  if (!v || !std::isfinite(*v) || *v <= 0.0) {
+    std::fprintf(stderr,
+                 "%s: expected a positive number of hours, got '%.*s'\n", what,
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+  }
+  return *v;
 }
 
 }  // namespace
@@ -35,22 +51,40 @@ pns::trace::WeatherCondition parse_condition(const std::string& s) {
 int main(int argc, char** argv) {
   using namespace pns;
 
-  sim::SolarScenario scenario;
-  if (argc > 1) scenario.condition = parse_condition(argv[1]);
-  const double hours = argc > 2 ? std::atof(argv[2]) : 6.0;
-  const double start_hour = argc > 5 ? std::atof(argv[5]) : 10.5;
+  sweep::ScenarioSpec scenario;  // PNS on the paper's board and node
+  if (argc > 1) {
+    const auto condition = trace::weather_condition_from_string(argv[1]);
+    if (!condition) {
+      std::fprintf(stderr,
+                   "unknown condition '%s' (want full-sun|partial-sun|cloud|"
+                   "hail)\n",
+                   argv[1]);
+      return 2;
+    }
+    scenario.condition = *condition;
+  }
+  const double hours = argc > 2 ? positive_hours("hours", argv[2]) : 6.0;
+  const double start_hour =
+      argc > 5 ? positive_hours("start-hour", argv[5]) : 10.5;
   scenario.t_start = start_hour * 3600.0;
   scenario.t_end = scenario.t_start + hours * 3600.0;
-  if (argc > 3) scenario.seed = std::strtoull(argv[3], nullptr, 10);
+  if (argc > 3) {
+    const auto seed = parse_number<std::uint64_t>(argv[3]);
+    if (!seed) {
+      std::fprintf(stderr, "seed: expected an unsigned integer, got '%s'\n",
+                   argv[3]);
+      return 2;
+    }
+    scenario.seed = *seed;
+  }
+  scenario.record_series = true;
+  scenario.record_interval_s = 1.0;
 
-  const soc::Platform board = soc::Platform::odroid_xu4();
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_interval_s = 1.0;
-
-  std::printf("simulating %s, %.1f h from 10:30, seed %llu...\n",
+  std::printf("simulating %s, %.1f h from %s, seed %llu...\n",
               to_string(scenario.condition), hours,
+              fmt_hhmm(scenario.t_start).c_str(),
               static_cast<unsigned long long>(scenario.seed));
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+  const auto r = sweep::run_scenario(scenario);
   const auto& m = r.metrics;
 
   ConsoleTable table({"metric", "value"});
@@ -77,7 +111,7 @@ int main(int argc, char** argv) {
                      " %"});
   table.print(std::cout, "solar day summary");
 
-  if (argc > 4) {
+  if (argc > 4 && *argv[4] != '\0') {
     const std::string path = argv[4];
     const bool ok = write_series_csv(
         path, {{"vc", &r.series.vc},

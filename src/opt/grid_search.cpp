@@ -19,16 +19,6 @@ SearchResult make_search_result(std::vector<ParamSet> candidates,
   return result;
 }
 
-BatchObjective batched(Objective objective) {
-  return [objective = std::move(objective)](
-             const std::vector<ParamSet>& batch) {
-    std::vector<double> scores;
-    scores.reserve(batch.size());
-    for (const auto& p : batch) scores.push_back(objective(p));
-    return scores;
-  };
-}
-
 GridSpec GridSpec::paper_neighbourhood() {
   return GridSpec{
       .v_width = {0.096, 0.144, 0.216},
@@ -57,10 +47,6 @@ SearchResult grid_search(const BatchObjective& objective,
   std::vector<ParamSet> candidates = grid.expand();
   const std::vector<double> scores = objective(candidates);
   return make_search_result(std::move(candidates), scores);
-}
-
-SearchResult grid_search(const Objective& objective, const GridSpec& grid) {
-  return grid_search(batched(objective), grid);
 }
 
 }  // namespace pns::opt

@@ -4,12 +4,10 @@
 // equivalent driver. All evaluated points are returned so benches can
 // print the score landscape, not just the winner.
 //
-// Two evaluation shapes are supported. The point-wise Objective is the
-// simple path; the BatchObjective receives every candidate of a search
-// stage at once, which lets a simulation-backed objective fan the batch
-// out over sweep::SweepRunner (see opt/objective.hpp) and inherit its
-// thread pool, checkpoint journal and sharding. Both shapes evaluate the
-// same candidates in the same order, so they select the same optimum.
+// An objective receives every candidate of a search stage at once, which
+// lets the simulation-backed SweepStabilityObjective fan the batch out
+// over sweep::SweepRunner (see opt/objective.hpp) and inherit its thread
+// pool and checkpoint journal.
 #pragma once
 
 #include <functional>
@@ -20,13 +18,9 @@
 namespace pns::opt {
 
 /// Evaluates a whole batch of candidates; returns one score per input, in
-/// order. Invalid candidates (ParamSet::valid() == false) must score -1,
-/// matching the point-wise convention.
+/// order. Invalid candidates (ParamSet::valid() == false) must score -1.
 using BatchObjective =
     std::function<std::vector<double>(const std::vector<ParamSet>&)>;
-
-/// Adapts a point-wise objective to the batch shape (serial evaluation).
-BatchObjective batched(Objective objective);
 
 /// Candidate values per axis.
 struct GridSpec {
@@ -70,13 +64,10 @@ struct SearchResult {
 SearchResult make_search_result(std::vector<ParamSet> candidates,
                                 const std::vector<double>& scores);
 
-/// Evaluates every grid combination (invalid ones score -1 and are kept in
-/// `evaluated` for completeness, flagged by their score).
-SearchResult grid_search(const Objective& objective, const GridSpec& grid);
-
-/// Batch variant: expands the grid once and hands the whole candidate set
-/// to `objective` -- the path that runs the underlying simulations in
-/// parallel when backed by SweepStabilityObjective.
+/// Evaluates every grid combination: expands the grid once and hands the
+/// whole candidate set to `objective` -- parallel when backed by
+/// SweepStabilityObjective. Invalid combinations score -1 and are kept in
+/// `evaluated` for completeness, flagged by their score.
 SearchResult grid_search(const BatchObjective& objective,
                          const GridSpec& grid);
 

@@ -2,16 +2,15 @@
 //
 // The paper selects (Vwidth, Vq, alpha, beta) by simulating the control
 // system and scoring "the proportion of time spent within 5 % of the
-// target voltage". StabilityObjective reproduces that score over a
-// configurable solar scenario; search drivers (grid/random) maximise it.
+// target voltage". SweepStabilityObjective reproduces that score over a
+// configurable solar scenario, one sweep::SweepRunner batch per search
+// stage; search drivers (grid/random) maximise it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hpp"
 #include "sweep/runner.hpp"
 
 namespace pns::opt {
@@ -31,31 +30,6 @@ struct ParamSet {
   }
 };
 
-/// Scalar objective: evaluate(params) -> score, higher is better.
-using Objective = std::function<double(const ParamSet&)>;
-
-/// Voltage-stability objective of §III: fraction of simulated time the
-/// node voltage stays within the +/- band around the target. Invalid
-/// parameter sets score -1.
-class StabilityObjective {
- public:
-  /// Scenario defaults to a 15-minute partial-sun window -- short enough
-  /// for dense sweeps, turbulent enough to separate good tunings.
-  StabilityObjective(const soc::Platform& platform,
-                     sim::SolarScenario scenario, sim::SimConfig base);
-
-  /// Convenience: build the paper-standard sweep objective.
-  static StabilityObjective standard(const soc::Platform& platform,
-                                     std::uint64_t seed = 7);
-
-  double operator()(const ParamSet& p) const;
-
- private:
-  const soc::Platform* platform_;
-  sim::SolarScenario scenario_;
-  sim::SimConfig base_;
-};
-
 /// Execution options for the SweepRunner-backed batch objective.
 struct SweepObjectiveOptions {
   /// Worker threads for the evaluation batch (sweep::SweepRunnerOptions
@@ -71,14 +45,13 @@ struct SweepObjectiveOptions {
   std::string journal_name = "opt";
 };
 
-/// Batch form of the §III stability objective, evaluated through
+/// The §III voltage-stability objective, evaluated through
 /// sweep::SweepRunner: every candidate tuning becomes a power-neutral
 /// ScenarioSpec over a shared base scenario, the batch fans out across the
 /// runner's thread pool, and each score is the scenario's fraction of time
-/// in the voltage band. For identical base scenarios the scores are
-/// bit-identical to the point-wise StabilityObjective (same experiment
-/// entry point, deterministic engine) -- parameter search simply inherits
-/// the sweep service's parallelism, checkpointing and sharding.
+/// in the +/- band around the target. The engine is deterministic, so the
+/// scores do not depend on the thread count -- parameter search simply
+/// inherits the sweep runner's parallelism and checkpointing.
 ///
 /// Scoring convention: invalid parameter sets score -1 without being
 /// simulated; a scenario that *fails* (engine threw) also scores -1.
@@ -90,9 +63,9 @@ class SweepStabilityObjective {
   explicit SweepStabilityObjective(sweep::ScenarioSpec base,
                                    SweepObjectiveOptions options = {});
 
-  /// The paper-standard study: 15-minute partial-sun window, 47 mF buffer,
-  /// MPP-centred 5 % band. Score-identical to
-  /// StabilityObjective::standard(platform, seed).
+  /// The paper-standard study: 15-minute partial-sun window (short enough
+  /// for dense sweeps, turbulent enough to separate good tunings), 47 mF
+  /// buffer, MPP-centred 5 % band.
   static SweepStabilityObjective standard(const soc::Platform& platform,
                                           std::uint64_t seed = 7,
                                           SweepObjectiveOptions options = {});

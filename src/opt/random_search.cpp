@@ -13,10 +13,8 @@ double log_uniform(pns::Rng& rng, double lo, double hi) {
   return std::exp(rng.uniform(std::log(lo), std::log(hi)));
 }
 
-// Draws the whole candidate set up front. The RNG stream is consumed in
-// exactly the order the old interleaved draw-evaluate loop consumed it,
-// so results for a given seed are unchanged -- but evaluation can now
-// happen as one batch (parallel when the objective is sweep-backed).
+// Draws the whole candidate set up front, so evaluation happens as one
+// batch (parallel when the objective is sweep-backed).
 std::vector<ParamSet> draw_candidates(const RandomSearchSpec& spec) {
   pns::Rng rng(spec.seed);
   std::vector<ParamSet> out;
@@ -43,11 +41,6 @@ SearchResult random_search(const BatchObjective& objective,
   std::vector<ParamSet> candidates = draw_candidates(spec);
   const std::vector<double> scores = objective(candidates);
   return make_search_result(std::move(candidates), scores);
-}
-
-SearchResult random_search(const Objective& objective,
-                           const RandomSearchSpec& spec) {
-  return random_search(batched(objective), spec);
 }
 
 }  // namespace pns::opt

@@ -22,14 +22,10 @@ struct RandomSearchSpec {
 };
 
 /// Draws `iterations` parameter sets (rejecting invalid combinations by
-/// resampling, up to a bounded number of retries each) and evaluates them.
-/// The candidate stream for a given seed is identical across the
-/// point-wise and batch overloads.
-SearchResult random_search(const Objective& objective,
-                           const RandomSearchSpec& spec);
-
-/// Batch variant: draws every candidate first, then evaluates them as one
-/// batch -- parallel when the objective is backed by sweep::SweepRunner.
+/// resampling, up to a bounded number of retries each), then evaluates
+/// them as one batch -- parallel when the objective is backed by
+/// sweep::SweepRunner. The candidate stream is a pure function of the
+/// seed.
 SearchResult random_search(const BatchObjective& objective,
                            const RandomSearchSpec& spec);
 

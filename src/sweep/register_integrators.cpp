@@ -6,8 +6,8 @@
 //           steady-state coasting across provably quiescent spans
 //           (sim/engine try_coast) and governor-tick elision. Its
 //           parameter defaults are sim::SimConfig{}'s numerics, so a
-//           sweep row and a direct sim:: run of the same scenario compute
-//           identically.
+//           sweep row and a hand-built sim::SimEngine run of the same
+//           scenario compute identically.
 //   rk23    the original adaptive Bogacki-Shampine stepper with the
 //           clamped per-step error rule and bisection event roots, at its
 //           own legacy numerics -- the reference numerics the paper

@@ -9,8 +9,10 @@
 //            (trace/trace_io), e.g. the paper's published dataset
 //   flicker  a synthetic periodic cloud-flicker wave (trace/flicker) for
 //            repeatable controller stress studies
-// Every factory honours the spec's PV evaluation mode and drives the
-// calibrated paper array. A new supply shape registers the same way:
+// Every factory ends in pv_source_from_trace, the one builder of a PV
+// source from an irradiance trace: it honours the spec's PV evaluation
+// mode, drives the calibrated paper array and declares the trace's flat
+// spans for coasting. A new supply shape registers the same way:
 // SourceRegistry::instance().add({kind, summary, params, ...}).
 #include <cstddef>
 #include <initializer_list>
@@ -25,35 +27,28 @@
 
 namespace pns::sweep {
 
-namespace {
-
-/// Single site for the mode dispatch: an irradiance callable over the
-/// paper array, sharing the process-wide table in tabulated mode (as
-/// sim::make_solar_source does).
-ehsim::PvSource pv_source_from_sample(std::function<double(double)> sample,
-                                      ehsim::PvSource::Mode mode) {
-  if (mode == ehsim::PvSource::Mode::kTabulated)
-    return ehsim::PvSource(sim::paper_pv_array(), std::move(sample),
-                           sim::paper_pv_table());
-  return ehsim::PvSource(sim::paper_pv_array(), std::move(sample));
-}
-
-/// Wraps a shared irradiance trace with the hinted-evaluation closure
-/// (bit-identical to binary search, O(1) for the integrator's
-/// near-monotone access) and declares the trace's flat spans so the
-/// coasting fast path can jump across them.
 ehsim::PvSource pv_source_from_trace(
     std::shared_ptr<const pns::PiecewiseLinear> trace,
-    ehsim::PvSource::Mode mode) {
-  auto source = pv_source_from_sample(
-      [trace, hint = std::size_t{0}](double t) mutable {
-        return trace->eval_hinted(t, hint);
-      },
-      mode);
+    ehsim::PvSource::Mode mode, double scale) {
+  // Each closure keeps its own hint: the integrator samples the trace
+  // and asks for its flat spans at near-monotone times, so both lookups
+  // are O(1) and bit-identical to their binary-search forms.
+  auto sample = [trace, scale, hint = std::size_t{0}](double t) mutable {
+    return scale * trace->eval_hinted(t, hint);
+  };
+  ehsim::PvSource source =
+      mode == ehsim::PvSource::Mode::kTabulated
+          ? ehsim::PvSource(sim::paper_pv_array(), std::move(sample),
+                            sim::paper_pv_table())
+          : ehsim::PvSource(sim::paper_pv_array(), std::move(sample));
   source.set_irradiance_hold(
-      [trace = std::move(trace)](double t) { return trace->flat_until(t); });
+      [trace = std::move(trace), hint = std::size_t{0}](double t) mutable {
+        return trace->flat_until_hinted(t, hint);
+      });
   return source;
 }
+
+namespace {
 
 trace::WeatherCondition effective_condition(const ScenarioSpec& spec,
                                             const ParamMap& params) {
@@ -84,27 +79,24 @@ std::string asset_key(std::initializer_list<std::pair<const char*, double>>
 
 ehsim::PvSource make_solar(const ScenarioSpec& spec, const ParamMap& params,
                            ScenarioAssets& assets) {
-  sim::SolarScenario scenario;
-  scenario.condition = effective_condition(spec, params);
-  scenario.t_start = spec.t_start;
-  scenario.t_end = spec.t_end;
-  scenario.seed = spec.seed;
-  scenario.trace_dt_s = spec.trace_dt_s;
-  scenario.pv_mode = spec.pv_mode;
+  const trace::WeatherCondition condition = effective_condition(spec, params);
   // The weather trace is the expensive part (tens of thousands of PRNG
   // knots); every row of an expansion that shares
   // (condition, window, dt, seed) shares one immutable instance. The
   // seed rides in the prefix as its exact decimal form -- a double
   // round-trip would collide distinct seeds above 2^53.
   auto trace = assets.trace(
-      asset_key({{"t0", scenario.t_start},
-                 {"t1", scenario.t_end},
-                 {"dt", scenario.trace_dt_s}},
-                std::string("solar/") +
-                    trace::to_string(scenario.condition) + "/seed=" +
-                    std::to_string(scenario.seed)),
-      [&] { return sim::solar_weather_trace(scenario); });
-  return sim::make_solar_source(scenario, std::move(trace));
+      asset_key({{"t0", spec.t_start},
+                 {"t1", spec.t_end},
+                 {"dt", spec.trace_dt_s}},
+                std::string("solar/") + trace::to_string(condition) +
+                    "/seed=" + std::to_string(spec.seed)),
+      [&] {
+        return trace::synthesize_irradiance(
+            sim::paper_clear_sky(), condition, spec.t_start - 60.0,
+            spec.t_end + 60.0, spec.trace_dt_s, spec.seed);
+      });
+  return pv_source_from_trace(std::move(trace), spec.pv_mode);
 }
 
 ehsim::PvSource make_shadow(const ScenarioSpec& spec, const ParamMap& params,
@@ -124,18 +116,11 @@ ehsim::PvSource make_shadow(const ScenarioSpec& spec, const ParamMap& params,
       trace::shadowing_event(spec.t_start, spec.t_end,
                              spec.t_start + sh.t_event_s, sh.t_fall_s,
                              sh.hold_s, sh.t_rise_s, sh.depth));
-  // Multiply at evaluation time (not via PiecewiseLinear::scaled): the
-  // paper benches were recorded with this exact expression and
+  // Scale by the peak at evaluation time (not via PiecewiseLinear::scaled):
+  // the paper benches were recorded with this exact expression and
   // peak * lerp(y0, y1) and lerp(peak*y0, peak*y1) differ in the last
   // bits.
-  auto source = pv_source_from_sample(
-      [shade, peak = sh.peak_wm2, hint = std::size_t{0}](double t) mutable {
-        return peak * shade->eval_hinted(t, hint);
-      },
-      spec.pv_mode);
-  source.set_irradiance_hold(
-      [shade = std::move(shade)](double t) { return shade->flat_until(t); });
-  return source;
+  return pv_source_from_trace(std::move(shade), spec.pv_mode, sh.peak_wm2);
 }
 
 ehsim::PvSource make_trace(const ScenarioSpec& spec, const ParamMap& params,

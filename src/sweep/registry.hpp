@@ -18,6 +18,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "sim/experiment.hpp"
 #include "sweep/assets.hpp"
 #include "sweep/scenario.hpp"
+#include "util/interp.hpp"
 #include "util/params.hpp"
 
 namespace pns::sweep {
@@ -181,6 +183,18 @@ ehsim::PvSource resolve_source(const ScenarioSpec& spec,
 
 /// Convenience overload with a throwaway asset cache.
 ehsim::PvSource resolve_source(const ScenarioSpec& spec);
+
+/// The one PV source builder behind every built-in source kind: the
+/// calibrated paper array (sharing sim::paper_pv_table() in tabulated
+/// mode) driven by `scale` times the shared irradiance `trace`, with the
+/// trace's flat spans declared through PvSource::set_irradiance_hold so
+/// the coasting fast path can jump across them. Both lookups use the
+/// hinted O(1) forms, bit-identical to plain evaluation, and the default
+/// scale of 1 is exact, so an unscaled trace samples bit-identically to
+/// the trace itself. The source keeps the trace alive.
+ehsim::PvSource pv_source_from_trace(
+    std::shared_ptr<const pns::PiecewiseLinear> trace,
+    ehsim::PvSource::Mode mode, double scale = 1.0);
 
 /// Applies `spec.integrator` onto `cfg` through the integrator registry
 /// (same diagnostics contract as resolve_control). Called by

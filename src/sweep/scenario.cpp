@@ -10,21 +10,6 @@
 
 namespace pns::sweep {
 
-const char* to_string(SourceKind k) {
-  switch (k) {
-    case SourceKind::kSolarWeather: return "solar";
-    case SourceKind::kShadowing: return "shadowing";
-  }
-  return "?";
-}
-
-SourceSpec::SourceSpec(SourceKind k)
-    : kind(k == SourceKind::kShadowing ? "shadow" : "solar") {}
-
-bool operator==(const SourceSpec& spec, SourceKind kind) {
-  return spec.kind == SourceSpec(kind).kind;
-}
-
 std::string SourceSpec::spec_string() const {
   return params.empty() ? kind : kind + ":" + params.serialize();
 }
@@ -159,7 +144,7 @@ std::size_t SweepSpec::size() const {
   std::size_t total = 0;
   for (const auto& src : srcs) {
     const std::size_t depth_axis =
-        src == SourceKind::kShadowing ? axis(shadow_depths.size()) : 1;
+        src.kind == "shadow" ? axis(shadow_depths.size()) : 1;
     const std::size_t cond_axis =
         source_uses_condition(src.kind) ? axis(conditions.size()) : 1;
     total += cond_axis * axis(controls.size()) *
@@ -185,7 +170,7 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
   // conditions -- an axis a source ignores would clone identical
   // scenarios under identical labels.
   auto depths_for = [&](const SourceSpec& src) {
-    return src == SourceKind::kShadowing && !shadow_depths.empty()
+    return src.kind == "shadow" && !shadow_depths.empty()
                ? shadow_depths
                : std::vector{base.shadow.depth};
   };
@@ -239,7 +224,7 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
               label += src_suffixes[si];
               label += "/";
               label += ctl_labels[ci];
-              if (s.source == SourceKind::kShadowing) {
+              if (s.source.kind == "shadow") {
                 if (shadow_depths.size() > 1) {
                   char buf[32];
                   std::snprintf(buf, sizeof buf, "/depth=%g", depth);

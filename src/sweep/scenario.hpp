@@ -13,9 +13,10 @@
 // as a compact spec string -- "pns:v_q=0.04", "gov:ondemand:period=0.05",
 // "static:opp=4", "shadow:depth=0.2,hold=5", "trace:file=day.csv",
 // "flicker:period=30". New policies and supply shapes register a factory
-// instead of editing this file, the experiment helpers and the CLI in
-// lockstep; the legacy ControlKind/SourceKind enums survive as thin
-// adapters over the kind strings.
+// instead of editing this file and the CLI in lockstep. A resolved control
+// spec becomes a sim::ControlSelection, whose sim::ControlKind tag is
+// run_pv_control's dispatch over the three control schemes -- not a
+// second way to name a control.
 #pragma once
 
 #include <cstdint>
@@ -32,16 +33,6 @@
 #include "util/params.hpp"
 
 namespace pns::sweep {
-
-/// Legacy source selector, kept as a thin adapter: assigning or comparing
-/// a SourceKind against a SourceSpec addresses the registry kinds
-/// "solar" / "shadow".
-enum class SourceKind {
-  kSolarWeather,  ///< clear-sky envelope x stochastic weather (Figs. 12-14)
-  kShadowing,     ///< deterministic shadowing event (Fig. 6)
-};
-
-const char* to_string(SourceKind k);
 
 /// Parameters of the deterministic shadowing-event source (Fig. 6): full
 /// irradiance, a linear collapse to `depth` at `t_event`, a hold, and a
@@ -63,12 +54,6 @@ struct SourceSpec {
   std::string kind = "solar";
   ParamMap params;
 
-  SourceSpec() = default;
-  /// Adapter: SourceKind::kSolarWeather -> "solar", kShadowing ->
-  /// "shadow" (implicit, so `spec.source = SourceKind::kShadowing` keeps
-  /// compiling).
-  SourceSpec(SourceKind k);  // NOLINT(google-explicit-constructor)
-
   /// Round-trippable "kind" / "kind:key=value,..." form (identity in
   /// journal headers and CLI flags).
   std::string spec_string() const;
@@ -81,14 +66,11 @@ struct SourceSpec {
   bool operator==(const SourceSpec&) const = default;
 };
 
-/// Kind-only comparison, so `spec.source == SourceKind::kShadowing` keeps
-/// meaning "is a shadowing source" whatever the parameters say.
-bool operator==(const SourceSpec& spec, SourceKind kind);
-
 /// Open integrator selection: a registry kind ("rk23pi" -- the default:
 /// PI step control, dense-output event roots and steady-state coasting at
-/// sim::SimConfig{}'s numerics -- or "rk23" -- the legacy engine,
-/// bit-for-bit) plus numeric overrides, e.g.
+/// sim::SimConfig{}'s numerics -- or "rk23" -- the original engine and
+/// the reference numerics the error budget measures rk23pi against) plus
+/// numeric overrides, e.g.
 /// "rk23pi:rtol=1e-05,coast=false". Resolved by make_sim_config through
 /// the integrator registry (sweep/registry.hpp).
 struct IntegratorSpec {
@@ -202,8 +184,8 @@ struct ScenarioSpec {
   bool enable_reboot = true;
   bool record_series = false;
   double record_interval_s = 0.25;
-  /// Initial operating point; the experiment helpers' warm-start defaults
-  /// apply when unset (see sim/experiment.hpp).
+  /// Initial operating point; run_pv_control's warm-start defaults apply
+  /// when unset (see sim/experiment.hpp).
   std::optional<soc::OperatingPoint> initial_opp;
 
   double duration() const { return t_end - t_start; }

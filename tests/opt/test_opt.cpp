@@ -19,15 +19,22 @@
 namespace pns::opt {
 namespace {
 
-// Synthetic unimodal objective peaked at the paper's optimum.
-double synthetic(const ParamSet& p) {
-  if (!p.valid()) return -1.0;
+// Synthetic unimodal objective peaked at the paper's optimum, in the
+// batch shape every search driver takes.
+std::vector<double> synthetic(const std::vector<ParamSet>& batch) {
   auto gauss = [](double x, double mu, double s) {
     const double d = (x - mu) / s;
     return std::exp(-0.5 * d * d);
   };
-  return gauss(p.v_width, 0.144, 0.1) * gauss(p.v_q, 0.048, 0.03) *
-         gauss(p.alpha, 0.12, 0.1) * gauss(p.beta, 0.48, 0.3);
+  std::vector<double> scores;
+  scores.reserve(batch.size());
+  for (const ParamSet& p : batch)
+    scores.push_back(p.valid() ? gauss(p.v_width, 0.144, 0.1) *
+                                     gauss(p.v_q, 0.048, 0.03) *
+                                     gauss(p.alpha, 0.12, 0.1) *
+                                     gauss(p.beta, 0.48, 0.3)
+                               : -1.0);
+  return scores;
 }
 
 TEST(ParamSet, ValidityRules) {
@@ -110,20 +117,6 @@ TEST(RandomSearch, MoreIterationsNeverWorse) {
   EXPECT_GE(b.best_score, a.best_score);  // same stream prefix
 }
 
-TEST(BatchSearch, GridBatchMatchesPointwise) {
-  const auto grid = GridSpec::paper_neighbourhood();
-  const auto pointwise = grid_search(synthetic, grid);
-  const auto batch = grid_search(batched(synthetic), grid);
-  ASSERT_EQ(batch.evaluated.size(), pointwise.evaluated.size());
-  for (std::size_t i = 0; i < batch.evaluated.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].score, pointwise.evaluated[i].score);
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].params.beta,
-                     pointwise.evaluated[i].params.beta);
-  }
-  EXPECT_DOUBLE_EQ(batch.best_score, pointwise.best_score);
-  EXPECT_DOUBLE_EQ(batch.best.v_width, pointwise.best.v_width);
-}
-
 TEST(BatchSearch, GridExpandIsCanonicalOrder) {
   GridSpec grid{{0.1, 0.2}, {0.05}, {0.1}, {0.3, 0.4}};
   const auto candidates = grid.expand();
@@ -132,44 +125,6 @@ TEST(BatchSearch, GridExpandIsCanonicalOrder) {
   EXPECT_DOUBLE_EQ(candidates[0].beta, 0.3);
   EXPECT_DOUBLE_EQ(candidates[1].beta, 0.4);  // beta innermost
   EXPECT_DOUBLE_EQ(candidates[2].v_width, 0.2);
-}
-
-TEST(BatchSearch, RandomBatchMatchesPointwise) {
-  RandomSearchSpec spec;
-  spec.iterations = 24;
-  spec.seed = 17;
-  const auto pointwise = random_search(synthetic, spec);
-  const auto batch = random_search(batched(synthetic), spec);
-  ASSERT_EQ(batch.evaluated.size(), pointwise.evaluated.size());
-  // The candidate stream must be identical: the batch overload consumes
-  // the RNG in the same order as the old interleaved loop.
-  for (std::size_t i = 0; i < batch.evaluated.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].params.v_width,
-                     pointwise.evaluated[i].params.v_width);
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].score, pointwise.evaluated[i].score);
-  }
-  EXPECT_DOUBLE_EQ(batch.best_score, pointwise.best_score);
-}
-
-TEST(SweepStabilityObjective, BitIdenticalToPointwiseObjective) {
-  // The sweep-backed batch objective drives the same experiment entry
-  // point with the same configuration, so its scores are bit-identical to
-  // StabilityObjective -- parallel search changes nothing but wall-clock.
-  static soc::Platform platform = soc::Platform::odroid_xu4();
-  const std::uint64_t seed = 5;
-  const auto pointwise = StabilityObjective::standard(platform, seed);
-  const auto batch = SweepStabilityObjective::standard(platform, seed);
-
-  const std::vector<ParamSet> candidates = {
-      {0.144, 0.0479, 0.120, 0.479},  // the paper's optimum
-      {0.1, 0.2, 0.1, 0.5},           // invalid: vq >= width
-      {0.30, 0.05, 0.05, 0.60},
-  };
-  const auto scores = batch(candidates);
-  ASSERT_EQ(scores.size(), candidates.size());
-  EXPECT_EQ(scores[0], pointwise(candidates[0]));
-  EXPECT_DOUBLE_EQ(scores[1], -1.0);
-  EXPECT_EQ(scores[2], pointwise(candidates[2]));
 }
 
 TEST(SweepStabilityObjective, JournalCheckpointsEvaluations) {
@@ -220,23 +175,23 @@ TEST(SweepStabilityObjective, JournalCheckpointsEvaluations) {
   std::filesystem::remove(tmp);
 }
 
-TEST(StabilityObjective, ScoresRealSimulation) {
+TEST(SweepStabilityObjective, ScoresRealSimulation) {
   // Tiny scenario to keep the test fast: 2 simulated minutes.
-  static soc::Platform platform = soc::Platform::odroid_xu4();
-  sim::SolarScenario scenario;
+  sweep::ScenarioSpec scenario;
   scenario.condition = trace::WeatherCondition::kFullSun;
   scenario.t_start = 12.0 * 3600.0;
   scenario.t_end = scenario.t_start + 120.0;
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_series = false;
-  StabilityObjective obj(platform, scenario, cfg);
+  const SweepStabilityObjective obj(scenario);
 
-  const double good = obj(ParamSet{0.144, 0.0479, 0.120, 0.479});
+  const auto scores = obj({ParamSet{0.144, 0.0479, 0.120, 0.479},
+                           ParamSet{0.1, 0.2, 0.1, 0.5}});
+  ASSERT_EQ(scores.size(), 2u);
+  const double good = scores[0];
   EXPECT_GE(good, 0.0);
   EXPECT_LE(good, 1.0);
   EXPECT_GT(good, 0.3);  // paper-tuned parameters hold the band mostly
 
-  const double invalid = obj(ParamSet{0.1, 0.2, 0.1, 0.5});
+  const double invalid = scores[1];
   EXPECT_DOUBLE_EQ(invalid, -1.0);
 }
 

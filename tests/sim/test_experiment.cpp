@@ -1,7 +1,10 @@
-// Tests for the experiment scenario helpers (sim/experiment).
+// Tests for the paper fixtures (sim/experiment) and for solar scenarios
+// run end to end through sweep::run_scenario, the one way to run them.
 #include "sim/experiment.hpp"
 
 #include <gtest/gtest.h>
+
+#include "sweep/scenario.hpp"
 
 namespace pns::sim {
 namespace {
@@ -31,52 +34,51 @@ TEST(PaperClearSky, DaylightWindow) {
   EXPECT_GT(sky.irradiance(13.0 * 3600.0), 900.0);
 }
 
-TEST(SolarSimConfig, MatchesPaperSetup) {
-  SolarScenario scenario;
-  const auto cfg = solar_sim_config(scenario);
+/// Power-neutral control under full sun, starting at noon.
+sweep::ScenarioSpec noon_scenario(double seconds) {
+  sweep::ScenarioSpec scenario;
+  scenario.t_start = 12.0 * 3600.0;
+  scenario.t_end = scenario.t_start + seconds;
+  return scenario;
+}
+
+TEST(ScenarioSpecDefaults, MatchPaperSetup) {
+  const sweep::ScenarioSpec scenario;
+  const auto cfg = sweep::make_sim_config(scenario);
   EXPECT_DOUBLE_EQ(cfg.capacitance_f, 47e-3);  // the paper's buffer
-  EXPECT_DOUBLE_EQ(cfg.v_target, 5.3);         // calibrated MPP
   EXPECT_DOUBLE_EQ(cfg.band_fraction, 0.05);
+  EXPECT_DOUBLE_EQ(cfg.vc0, 5.3);
+  EXPECT_DOUBLE_EQ(cfg.v_target, 5.3);         // calibrated MPP
   EXPECT_DOUBLE_EQ(cfg.t_start, scenario.t_start);
 }
 
-TEST(RunSolarPowerNeutral, ShortFullSunRunStaysAlive) {
-  SolarScenario scenario;
-  scenario.t_start = 12.0 * 3600.0;
-  scenario.t_end = scenario.t_start + 120.0;
-  auto cfg = solar_sim_config(scenario);
-  const auto r = run_solar_power_neutral(xu4(), scenario, cfg);
+TEST(SolarRun, PowerNeutralShortFullSunRunStaysAlive) {
+  const auto r = sweep::run_scenario(noon_scenario(120.0));
   EXPECT_EQ(r.metrics.brownouts, 0u);
   EXPECT_TRUE(r.used_controller);
   EXPECT_GT(r.metrics.instructions, 0.0);
   EXPECT_GT(r.metrics.fraction_in_band(), 0.2);
 }
 
-TEST(RunSolarGovernor, PowersaveRunsConservativeDies) {
-  SolarScenario scenario;
-  scenario.t_start = 12.0 * 3600.0;
-  scenario.t_end = scenario.t_start + 90.0;
-  auto cfg = solar_sim_config(scenario);
-  cfg.enable_reboot = false;
+TEST(SolarRun, PowersaveRunsConservativeDies) {
+  auto scenario = noon_scenario(90.0);
+  scenario.enable_reboot = false;
 
-  const auto powersave =
-      run_solar_governor(xu4(), scenario, "powersave", cfg);
+  scenario.control = sweep::ControlSpec::linux_governor("powersave");
+  const auto powersave = sweep::run_scenario(scenario);
   EXPECT_EQ(powersave.metrics.brownouts, 0u);
 
-  const auto conservative =
-      run_solar_governor(xu4(), scenario, "conservative", cfg);
+  scenario.control = sweep::ControlSpec::linux_governor("conservative");
+  const auto conservative = sweep::run_scenario(scenario);
   EXPECT_GE(conservative.metrics.brownouts, 1u);
   // Table II: conservative dies within seconds of ramping up.
   EXPECT_LT(conservative.metrics.lifetime_s, 30.0);
 }
 
-TEST(RunSolarStatic, LowOppSurvivesNoon) {
-  SolarScenario scenario;
-  scenario.t_start = 12.0 * 3600.0;
-  scenario.t_end = scenario.t_start + 60.0;
-  auto cfg = solar_sim_config(scenario);
-  const auto r =
-      run_solar_static(xu4(), scenario, xu4().lowest_opp(), cfg);
+TEST(SolarRun, StaticLowOppSurvivesNoon) {
+  auto scenario = noon_scenario(60.0);
+  scenario.control = sweep::ControlSpec::static_opp_point(xu4().lowest_opp());
+  const auto r = sweep::run_scenario(scenario);
   EXPECT_EQ(r.metrics.brownouts, 0u);
   EXPECT_EQ(r.control_name, "static");
 }
@@ -127,32 +129,24 @@ TEST(BalancedOpp, MonotoneInBudget) {
   }
 }
 
-TEST(RunSolarPowerNeutral, AnchorsWindowAtMppTarget) {
-  // The helper caps the tracking window just above the configured target
-  // (the paper's "target voltage set at the calibrated MPP"): the mean
-  // node voltage must settle near the target, not drift towards v_max.
-  SolarScenario scenario;
-  scenario.t_start = 12.0 * 3600.0;
-  scenario.t_end = scenario.t_start + 300.0;
-  auto cfg = solar_sim_config(scenario);
-  cfg.record_series = false;
-  const auto r = run_solar_power_neutral(xu4(), scenario, cfg);
+TEST(SolarRun, PowerNeutralAnchorsWindowAtMppTarget) {
+  // run_pv_control caps the tracking window just above the configured
+  // target (the paper's "target voltage set at the calibrated MPP"): the
+  // mean node voltage must settle near the target, not drift towards
+  // v_max.
+  const auto r = sweep::run_scenario(noon_scenario(300.0));
   EXPECT_NEAR(r.metrics.vc_stats.mean(), 5.3, 0.25);
 }
 
-TEST(SolarScenario, SeedChangesOutcomeDeterministically) {
-  SolarScenario a;
+TEST(SolarRun, SeedChangesOutcomeDeterministically) {
+  auto a = noon_scenario(60.0);
   a.condition = trace::WeatherCondition::kPartialSun;
-  a.t_start = 12.0 * 3600.0;
-  a.t_end = a.t_start + 60.0;
   a.seed = 1;
-  SolarScenario b = a;
+  auto b = a;
   b.seed = 2;
-  auto cfg = solar_sim_config(a);
-  cfg.record_series = false;
-  const auto ra1 = run_solar_power_neutral(xu4(), a, cfg);
-  const auto ra2 = run_solar_power_neutral(xu4(), a, cfg);
-  const auto rb = run_solar_power_neutral(xu4(), b, cfg);
+  const auto ra1 = sweep::run_scenario(a);
+  const auto ra2 = sweep::run_scenario(a);
+  const auto rb = sweep::run_scenario(b);
   // Same seed -> identical metrics; different seed -> different harvest.
   EXPECT_DOUBLE_EQ(ra1.metrics.energy_harvested_j,
                    ra2.metrics.energy_harvested_j);

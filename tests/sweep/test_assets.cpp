@@ -21,6 +21,7 @@
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
+#include "trace/weather.hpp"
 
 namespace pns::sweep {
 namespace {
@@ -123,19 +124,16 @@ void register_counted_source() {
         [](const ScenarioSpec&) { return std::string("counted"); },
         [](const ScenarioSpec& spec, const ParamMap&,
            ScenarioAssets& assets) {
-          sim::SolarScenario scenario;
-          scenario.condition = trace::WeatherCondition::kPartialSun;
-          scenario.t_start = spec.t_start;
-          scenario.t_end = spec.t_end;
-          scenario.seed = spec.seed;
-          scenario.trace_dt_s = spec.trace_dt_s;
-          scenario.pv_mode = spec.pv_mode;
           auto trace = assets.trace(
               "counted/seed=" + std::to_string(spec.seed), [&] {
                 ++g_counted_builds;
-                return sim::solar_weather_trace(scenario);
+                return trace::synthesize_irradiance(
+                    sim::paper_clear_sky(),
+                    trace::WeatherCondition::kPartialSun,
+                    spec.t_start - 60.0, spec.t_end + 60.0, spec.trace_dt_s,
+                    spec.seed);
               });
-          return sim::make_solar_source(scenario, std::move(trace));
+          return pv_source_from_trace(std::move(trace), spec.pv_mode);
         },
     });
     return true;

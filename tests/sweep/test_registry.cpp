@@ -54,7 +54,7 @@ TEST(Registry, EveryControlKindRoundTripsItsSpecString) {
   }
 }
 
-TEST(Registry, EverySourceKindRoundTripsItsSpecString) {
+TEST(Registry, EveryRegisteredSourceRoundTripsItsSpecString) {
   for (const auto& entry : SourceRegistry::instance().entries()) {
     const SourceSpec bare = SourceSpec::parse(entry.kind);
     EXPECT_EQ(bare.spec_string(), entry.kind);

@@ -84,7 +84,7 @@ TEST(SweepSpec, LabelsAreUniqueAcrossTheProduct) {
 
 TEST(SweepSpec, ShadowDepthAxisAppliesToShadowSpec) {
   SweepSpec sw;
-  sw.base.source = SourceKind::kShadowing;
+  sw.base.source.kind = "shadow";
   sw.base.t_start = 0.0;
   sw.base.t_end = 10.0;
   sw.shadow_depths = {0.2, 0.5};
@@ -189,7 +189,7 @@ TEST(RunScenario, MakeSimConfigAppliesOverrides) {
   EXPECT_TRUE(cfg.record_series);
   EXPECT_DOUBLE_EQ(cfg.record_interval_s, 0.5);
 
-  spec.source = SourceKind::kShadowing;
+  spec.source.kind = "shadow";
   EXPECT_DOUBLE_EQ(make_sim_config(spec).v_target, 0.0);  // band disabled
   spec.v_target = 4.9;
   EXPECT_DOUBLE_EQ(make_sim_config(spec).v_target, 4.9);

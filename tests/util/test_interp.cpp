@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace pns {
 namespace {
@@ -89,6 +90,38 @@ TEST(PiecewiseLinear, EvalHintedBitIdenticalToOperator) {
   for (double q : xs) check(q);                               // exact knots
   hint = 9999;                                                // stale hint
   check(1.0);
+}
+
+TEST(PiecewiseLinear, FlatUntilHintedMatchesFlatUntil) {
+  // An irregular function with level runs of one to three segments
+  // between sloped ones: every answer of flat_until (x itself, the end of
+  // a run, +infinity past the last run) must come back bit for bit from
+  // the hinted lookup, whatever state the hint is in.
+  std::vector<double> xs, ys;
+  double x = 0.0, y = 1.0;
+  for (int i = 0; i < 64; ++i) {
+    xs.push_back(x);
+    ys.push_back(y);
+    if (i % 7 >= 3) y += std::sin(0.9 * i) + 0.02;  // level runs otherwise
+    x += 0.1 + 0.04 * (i % 3);
+  }
+  ys.back() = ys[ys.size() - 2];  // a level run that reaches the last knot
+  const PiecewiseLinear f(xs, ys);
+  std::size_t hint = 0;
+  auto check = [&](double q) {
+    EXPECT_EQ(f.flat_until_hinted(q, hint), f.flat_until(q)) << "x=" << q;
+  };
+  for (double q = -0.5; q < x + 0.5; q += 0.0137) check(q);   // forward
+  for (double q : xs) check(q);                               // exact knots
+  Rng rng(2024);
+  for (int i = 0; i < 500; ++i) check(rng.uniform(-0.5, x + 0.5));  // random
+  for (std::size_t stale : {std::size_t{0}, std::size_t{63},
+                            std::size_t{64}, std::size_t{9999}}) {
+    for (double q : {-0.1, 0.05, 1.0, x * 0.5, xs.back(), x + 1.0}) {
+      hint = stale;                                           // stale hint
+      check(q);
+    }
+  }
 }
 
 TEST(PiecewiseLinear, FromPairsSorts) {
