@@ -35,17 +35,12 @@ std::string header_line(const JournalHeader& header) {
   return line.str();
 }
 
-std::string row_line(std::size_t index, const SummaryRow& row,
-                     double wall_s) {
+std::string row_line(std::size_t index, const SummaryRow& row) {
   std::ostringstream line;
   JsonWriter w(line, JsonStyle::kCompact);
   w.begin_object();
   w.kv("kind", "row");
   w.kv("i", static_cast<std::uint64_t>(index));
-  // Execution cost rides along as entry metadata (shard planning reads
-  // it); the row object itself stays exactly what the aggregate
-  // serialises.
-  if (wall_s >= 0.0) w.kv("wall_s", wall_s);
   w.key("row");
   write_summary_row_json(w, row);
   w.end_object();
@@ -114,21 +109,6 @@ void fsync_parent_dir(const std::string& path) {
   if (fd < 0) return;
   ::fsync(fd);
   ::close(fd);
-}
-
-/// Folds one {"i": N, ["wall_s": S,] "row": {...}} entry -- a plain
-/// journal line or an element of a compacted "rows" block -- into the
-/// contents. Later entries win: a resume that re-ran a scenario whose
-/// line was torn must supersede nothing, but double-appended completed
-/// rows are identical anyway (deterministic simulation).
-void read_entry(const JsonValue& doc, JournalContents& contents) {
-  const auto index = static_cast<std::size_t>(doc.at("i").as_uint64());
-  contents.rows.insert_or_assign(index,
-                                 summary_row_from_json(doc.at("row")));
-  if (const JsonValue* wall = doc.find("wall_s"))
-    contents.costs.insert_or_assign(index, wall->as_double());
-  else
-    contents.costs.erase(index);
 }
 
 }  // namespace
@@ -225,19 +205,8 @@ void JournalWriter::write_line(const std::string& line) {
   }
 }
 
-void JournalWriter::append(std::size_t index, const SummaryRow& row,
-                           double wall_s) {
-  write_line(row_line(index, row, wall_s));
-}
-
-bool JournalWriter::probe() {
-  if (!out_) return false;
-  if (std::fflush(out_) != 0) return false;
-  if (durability_ == JournalDurability::kFsync) {
-    if (fault_ && fault_->fail_fsync()) return false;
-    if (::fsync(::fileno(out_)) != 0) return false;
-  }
-  return true;
+void JournalWriter::append(std::size_t index, const SummaryRow& row) {
+  write_line(row_line(index, row));
 }
 
 namespace {
@@ -302,12 +271,6 @@ JournalContents read_journal(const std::string& path) {
         header_seen = true;
         continue;
       }
-      if (kind == "rows") {
-        // Compacted form: one block carrying every entry.
-        for (const JsonValue& entry : doc.at("rows").items())
-          read_entry(entry, contents);
-        continue;
-      }
       if (kind != "row") {
         ++contents.dropped_lines;
         contents.notes.push_back(path + ":" + std::to_string(lineno) +
@@ -315,7 +278,12 @@ JournalContents read_journal(const std::string& path) {
                                  "' dropped");
         continue;
       }
-      read_entry(doc, contents);
+      // Later duplicates of an index win; a row appended twice is
+      // identical anyway (deterministic simulation). A "wall_s" member
+      // written by older builds is ignored.
+      contents.rows.insert_or_assign(
+          static_cast<std::size_t>(doc.at("i").as_uint64()),
+          summary_row_from_json(doc.at("row")));
     } catch (const JsonError& e) {
       if (!header_seen)
         throw JournalError(path + ": malformed journal header (" +
@@ -331,27 +299,25 @@ JournalContents read_journal(const std::string& path) {
   return contents;
 }
 
-namespace {
-
-/// Shared temp + fsync + atomic-rename tail of the journal rewriters:
-/// `emit` writes the replacement contents onto the stream; the temp file
-/// is fsynced before the rename and the directory after it, so a crash
-/// at any point leaves either the original or the complete replacement
-/// durably under the final name -- never a torn file.
-template <typename Emit>
-void replace_journal_atomically(const std::string& out_path,
-                                const char* what, Emit&& emit) {
-  const std::string tmp_path = out_path + ".tmp";
+void write_canonical_journal(
+    const std::string& path, const JournalHeader& header,
+    const std::map<std::size_t, SummaryRow>& rows) {
+  // Temp file, fsync, atomic rename, fsync of the directory: a crash at
+  // any point leaves either the original or the complete replacement
+  // durably under `path` -- never a torn file.
+  const std::string tmp_path = path + ".tmp";
   {
     std::ofstream out(tmp_path, std::ios::trunc);
     if (!out)
-      throw JournalError(std::string("cannot write ") + what + ": " +
-                         tmp_path);
-    emit(out);
+      throw JournalError("cannot write canonical journal: " + tmp_path);
+    // Index order: the bytes depend only on what the sweep computed,
+    // never on which worker computed it or when.
+    out << crc_framed(header_line(header)) << '\n';
+    for (const auto& [index, row] : rows)
+      out << crc_framed(row_line(index, row)) << '\n';
     out.flush();
     if (!out)
-      throw JournalError(std::string("cannot write ") + what + ": " +
-                         tmp_path);
+      throw JournalError("cannot write canonical journal: " + tmp_path);
   }
   // Reopen by path for the fsync: ofstream exposes no fd.
   const int fd = ::open(tmp_path.c_str(), O_RDONLY);
@@ -360,58 +326,13 @@ void replace_journal_atomically(const std::string& out_path,
     ::close(fd);
   }
   std::error_code ec;
-  std::filesystem::rename(tmp_path, out_path, ec);
+  std::filesystem::rename(tmp_path, path, ec);
   if (ec) {
     std::filesystem::remove(tmp_path, ec);
-    throw JournalError(std::string("cannot replace ") + what + " " +
-                       out_path + ": " + ec.message());
+    throw JournalError("cannot replace canonical journal " + path + ": " +
+                       ec.message());
   }
-  fsync_parent_dir(out_path);
-}
-
-}  // namespace
-
-std::size_t compact_journal(const std::string& in_path,
-                            const std::string& out_path) {
-  const JournalContents contents = read_journal(in_path);
-
-  replace_journal_atomically(
-      out_path, "compacted journal", [&](std::ostream& out) {
-        out << crc_framed(header_line(contents.header)) << '\n';
-
-        std::ostringstream block;
-        JsonWriter w(block, JsonStyle::kCompact);
-        w.begin_object();
-        w.kv("kind", "rows");
-        w.key("rows");
-        w.begin_array();
-        for (const auto& [index, row] : contents.rows) {
-          w.begin_object();
-          w.kv("i", static_cast<std::uint64_t>(index));
-          const auto cost = contents.costs.find(index);
-          if (cost != contents.costs.end()) w.kv("wall_s", cost->second);
-          w.key("row");
-          write_summary_row_json(w, row);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        out << crc_framed(block.str()) << '\n';
-      });
-  return contents.rows.size();
-}
-
-void write_canonical_journal(
-    const std::string& path, const JournalHeader& header,
-    const std::map<std::size_t, SummaryRow>& rows) {
-  replace_journal_atomically(
-      path, "canonical journal", [&](std::ostream& out) {
-        out << crc_framed(header_line(header)) << '\n';
-        // Index order, no wall_s: the bytes depend only on what the
-        // sweep computed, never on which worker computed it or how fast.
-        for (const auto& [index, row] : rows)
-          out << crc_framed(row_line(index, row, -1.0)) << '\n';
-      });
+  fsync_parent_dir(path);
 }
 
 std::string integrator_identity(const IntegratorSpec& integrator) {

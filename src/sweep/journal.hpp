@@ -23,6 +23,13 @@
 //    "crc":"d41c87a0"}
 //   {"kind":"row","i":0,"row":{...aggregate row object...},"crc":"..."}
 //   {"kind":"row","i":7,"row":{...},"crc":"..."}
+//
+// A journal holds only what the sweep computed -- no timing, no worker
+// identity -- so a 1-thread run's journal is byte-for-byte its canonical
+// form (write_canonical_journal). Row lines written by older builds may
+// carry an extra "wall_s" member; the reader ignores it. Any other line
+// kind (e.g. an old compacted "rows" block) is dropped with a note and
+// its scenarios re-run on resume.
 #pragma once
 
 #include <cstddef>
@@ -56,12 +63,6 @@ struct JournalContents {
   JournalHeader header;
   /// Completed rows keyed by global spec index.
   std::map<std::size_t, SummaryRow> rows;
-  /// Measured execution wall-clock per global spec index (seconds),
-  /// for the entries that recorded one. Feeds cost-weighted shard
-  /// planning (sweep/runner.hpp plan_shards); never part of the
-  /// aggregate, so a journal with or without costs publishes identical
-  /// CSV/JSON.
-  std::map<std::size_t, double> costs;
   /// Torn or unparseable lines that were skipped (at most the trailing
   /// line after a kill; more indicates external corruption).
   std::size_t dropped_lines = 0;
@@ -118,21 +119,13 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
 
-  /// Appends one completed row under its global spec index. `wall_s`
-  /// (when >= 0) records the scenario's measured execution wall-clock so
-  /// later runs can plan cost-balanced shards; it is metadata, not part
-  /// of the row. Throws JournalError when the append did not durably
-  /// complete (write/flush/fsync failure, injected or real); the writer
-  /// stays usable -- the next append re-synchronises onto a fresh line,
-  /// so a torn fragment becomes its own dropped line instead of
-  /// corrupting the row that follows it.
-  void append(std::size_t index, const SummaryRow& row,
-              double wall_s = -1.0);
-
-  /// True when the journal is currently writable (flush + fsync at this
-  /// writer's durability succeed), e.g. to check that a failed append
-  /// left the file usable.
-  bool probe();
+  /// Appends one completed row under its global spec index. Throws
+  /// JournalError when the append did not durably complete
+  /// (write/flush/fsync failure, injected or real); the writer stays
+  /// usable -- the next append re-synchronises onto a fresh line, so a
+  /// torn fragment becomes its own dropped line instead of corrupting the
+  /// row that follows it.
+  void append(std::size_t index, const SummaryRow& row);
 
  private:
   JournalWriter(std::FILE* out, JournalDurability durability,
@@ -164,27 +157,15 @@ JournalContents read_journal(const std::string& path);
 JournalContents read_journal(const std::string& path,
                              const JournalHeader& expected);
 
-/// Rewrites the journal at `in_path` as its header plus ONE aggregate
-/// "rows" block holding every completed row (and recorded cost) -- the
-/// compaction the `pns_sweep compact` subcommand exposes. A long-lived
-/// journal accretes one line per scenario (plus superseded duplicates
-/// from re-runs); after compaction it holds two lines and parses in one
-/// shot, while resuming from it reproduces byte-identical aggregates
-/// (tests/sweep/test_checkpoint.cpp proves the round trip). `out_path`
-/// may equal `in_path`: the rewrite goes through a temp file + atomic
-/// rename, so a kill mid-compaction never loses the original. Returns
-/// the number of rows written.
-std::size_t compact_journal(const std::string& in_path,
-                            const std::string& out_path);
-
 /// Writes `rows` as a *canonical* journal: the header line, then one row
-/// line per entry in ascending index order, with no wall_s metadata.
-/// Because row JSON round-trips bit-for-bit and execution timing is
-/// excluded, the canonical form of a journal is a pure function of the
+/// line per entry in ascending index order. Because row JSON round-trips
+/// bit-for-bit, the canonical form of a journal is a pure function of the
 /// sweep -- a single-process run and an N-shard merge canonicalise to
 /// the *same bytes*, which is how the sharded byte-identity contract is
-/// enforced (`pns_sweep merge --journal`, tests/cli). Goes through temp +
-/// fsync + atomic rename like compact_journal. Throws JournalError on IO
+/// enforced (`pns_sweep merge --journal`, tests/cli); a 1-thread run's
+/// journal already is its canonical form. The rewrite goes through a
+/// temp file + fsync + atomic rename, so a crash leaves either the old
+/// file or the complete new one under `path`. Throws JournalError on IO
 /// failure.
 void write_canonical_journal(const std::string& path,
                              const JournalHeader& header,

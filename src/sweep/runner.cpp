@@ -6,7 +6,6 @@
 #include <exception>
 #include <filesystem>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -33,61 +32,6 @@ ShardRange shard_range(std::size_t total, std::size_t k, std::size_t n) {
   return ShardRange{k * total / n, (k + 1) * total / n};
 }
 
-std::vector<ShardIndices> plan_shards(
-    std::size_t total, std::size_t n,
-    const std::map<std::size_t, double>& costs) {
-  PNS_EXPECTS(n > 0);
-  std::vector<ShardIndices> shards(n);
-  if (total == 0) return shards;
-
-  if (costs.empty()) {
-    // No measurements: exactly the contiguous partition, so the planned
-    // and unplanned CLI paths agree when there is nothing to plan from.
-    for (std::size_t k = 0; k < n; ++k) {
-      const ShardRange r = shard_range(total, k, n);
-      shards[k].resize(r.size());
-      std::iota(shards[k].begin(), shards[k].end(), r.begin);
-    }
-    return shards;
-  }
-
-  // Unmeasured specs (fresh rows a prior partial journal never ran)
-  // assume the mean measured cost.
-  double sum = 0.0;
-  std::size_t known = 0;
-  for (const auto& [i, c] : costs) {
-    if (i >= total) continue;
-    sum += std::max(c, 0.0);
-    ++known;
-  }
-  const double mean = known > 0 ? sum / static_cast<double>(known) : 1.0;
-
-  // LPT greedy: heaviest spec first onto the lightest shard. Ties break
-  // by index / shard number, so the partition is a pure function of
-  // (total, n, costs).
-  std::vector<std::pair<double, std::size_t>> items;
-  items.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto it = costs.find(i);
-    items.emplace_back(it != costs.end() ? std::max(it->second, 0.0) : mean,
-                       i);
-  }
-  std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  std::vector<double> load(n, 0.0);
-  for (const auto& [cost, index] : items) {
-    std::size_t lightest = 0;
-    for (std::size_t k = 1; k < n; ++k)
-      if (load[k] < load[lightest]) lightest = k;
-    load[lightest] += cost;
-    shards[lightest].push_back(index);
-  }
-  for (auto& shard : shards) std::sort(shard.begin(), shard.end());
-  return shards;
-}
-
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs) const {
   std::vector<SweepOutcome> outcomes(specs.size());
@@ -111,8 +55,7 @@ std::vector<SweepOutcome> SweepRunner::run(
       out.spec = specs[i];
       const auto t0 = std::chrono::steady_clock::now();
       try {
-        out.result = options_.reuse_assets ? run_scenario(specs[i], assets)
-                                           : run_scenario(specs[i]);
+        out.result = run_scenario(specs[i], assets);
         out.ok = true;
       } catch (const std::exception& e) {
         out.error = e.what();
@@ -152,18 +95,6 @@ ResumeReport SweepRunner::run_checkpointed(
     const std::vector<ScenarioSpec>& specs, const std::string& journal_path,
     const std::string& sweep_name, ShardRange range) const {
   PNS_EXPECTS(range.begin <= range.end && range.end <= specs.size());
-  ShardIndices indices(range.size());
-  std::iota(indices.begin(), indices.end(), range.begin);
-  return run_checkpointed(specs, journal_path, sweep_name, indices);
-}
-
-ResumeReport SweepRunner::run_checkpointed(
-    const std::vector<ScenarioSpec>& specs, const std::string& journal_path,
-    const std::string& sweep_name, const ShardIndices& indices) const {
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    PNS_EXPECTS(indices[j] < specs.size());
-    PNS_EXPECTS(j == 0 || indices[j] > indices[j - 1]);  // sorted, unique
-  }
   const JournalHeader header{sweep_name, specs.size()};
 
   // Load whatever a previous (possibly killed) invocation recorded.
@@ -190,7 +121,7 @@ ResumeReport SweepRunner::run_checkpointed(
   // global indices for the journal lines and the final spec-order stitch.
   std::vector<ScenarioSpec> pending;
   std::vector<std::size_t> global_index;
-  for (std::size_t i : indices) {
+  for (std::size_t i = range.begin; i < range.end; ++i) {
     if (!done.count(i)) {
       pending.push_back(specs[i]);
       global_index.push_back(i);
@@ -216,14 +147,14 @@ ResumeReport SweepRunner::run_checkpointed(
   SweepRunner sub = *this;
   sub.options_.on_outcome = [&](std::size_t pi, const SweepOutcome& out) {
     fresh[pi] = summarize(out);
-    if (journal) journal->append(global_index[pi], fresh[pi], out.wall_s);
+    if (journal) journal->append(global_index[pi], fresh[pi]);
     if (options_.on_outcome) options_.on_outcome(global_index[pi], out);
   };
   sub.run(pending);
 
-  report.rows.reserve(indices.size());
+  report.rows.reserve(range.size());
   std::size_t next_fresh = 0;
-  for (std::size_t i : indices) {
+  for (std::size_t i = range.begin; i < range.end; ++i) {
     auto it = done.find(i);
     if (it != done.end()) {
       report.rows.push_back(std::move(it->second));

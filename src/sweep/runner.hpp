@@ -3,10 +3,12 @@
 // A SweepRunner executes N independent scenarios over a fixed pool of
 // std::thread workers. Scenarios are embarrassingly parallel: every task
 // builds its own one-shot SimEngine (engines are single-use and not
-// thread-safe), its own weather trace from the spec's seed, and writes its
-// outcome to a pre-sized slot -- so results arrive in spec order and a
-// run's aggregate output is bit-identical whether it executed on 1 thread
-// or N (verified by tests/sweep/test_sweep.cpp).
+// thread-safe), takes its immutable inputs (weather traces and the like)
+// from one asset cache shared by every worker of the run
+// (sweep/assets.hpp), and writes its outcome to a pre-sized slot -- so
+// results arrive in spec order and a run's aggregate output is
+// bit-identical whether it executed on 1 thread or N (verified by
+// tests/sweep/test_sweep.cpp).
 //
 // On top of the plain batch executor, run_checkpointed()/resume() journal
 // every completed scenario to an append-only file (sweep/journal.hpp) and
@@ -30,12 +32,6 @@ struct SweepRunnerOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency() (and never
   /// more threads than scenarios).
   unsigned threads = 0;
-  /// Reuse immutable scenario assets (weather traces, parsed CSV traces)
-  /// across all rows of one run() call, shared by every worker
-  /// (sweep/assets.hpp). Bit-identical
-  /// to rebuilding per scenario; off exists for A/B timing
-  /// (tools/pns_bench_report) and debugging.
-  bool reuse_assets = true;
   /// Optional progress callback, invoked after each scenario completes
   /// with (completed, total). Called from worker threads under a mutex.
   std::function<void(std::size_t, std::size_t)> progress;
@@ -64,24 +60,6 @@ struct ShardRange {
 /// [0, total) -- so independent `--shard k/n` worker invocations cover
 /// every scenario exactly once.
 ShardRange shard_range(std::size_t total, std::size_t k, std::size_t n);
-
-/// Sorted global spec indices of one (possibly non-contiguous) shard.
-using ShardIndices = std::vector<std::size_t>;
-
-/// Plans `n` shards over `total` specs, balanced by measured
-/// per-scenario cost. `costs` maps global spec index to wall-clock
-/// seconds (typically JournalContents::costs from a prior run of the
-/// same sweep); specs with no measured cost assume the mean of the
-/// known ones. Assignment is deterministic LPT (longest processing
-/// time): specs in descending cost order (ties by index) each go to the
-/// currently lightest shard (ties by shard number) -- so every worker
-/// invocation of `--shard K/N --cost-journal J` computes the same
-/// partition. With no costs at all this degrades to exactly the
-/// contiguous shard_range partition. The returned index sets are sorted
-/// ascending and tile [0, total) exactly.
-std::vector<ShardIndices> plan_shards(
-    std::size_t total, std::size_t n,
-    const std::map<std::size_t, double>& costs);
 
 /// What a checkpointed (resumable) execution produced.
 struct ResumeReport {
@@ -126,15 +104,6 @@ class SweepRunner {
                                 const std::string& journal_path,
                                 const std::string& sweep_name,
                                 ShardRange range) const;
-
-  /// Checkpointed execution of an explicit (sorted, duplicate-free)
-  /// index set -- the cost-balanced sharding entry point (plan_shards).
-  /// Rows are returned in ascending index order; everything else matches
-  /// the range overload.
-  ResumeReport run_checkpointed(const std::vector<ScenarioSpec>& specs,
-                                const std::string& journal_path,
-                                const std::string& sweep_name,
-                                const ShardIndices& indices) const;
 
   /// Checkpointed execution of the full spec vector: the interrupted-
   /// overnight-run entry point. Equivalent to run_checkpointed over

@@ -27,8 +27,6 @@ const std::vector<ParamInfo>& FaultSpec::params() {
       {"seed", "uint", "1", "master seed; same seed = same injection "
                             "sequence"},
       {"fsync_fail", "uint", "0", "fail exactly the Nth fsync (1-based)"},
-      {"fsync_fail_from", "uint", "0",
-       "fail every fsync from the Nth on (dead disk)"},
       {"torn_append", "double", "0",
        "P(tear a journal line mid-append)"},
   };
@@ -48,7 +46,6 @@ FaultSpec FaultSpec::parse(const std::string& text) {
   FaultSpec spec;
   spec.seed = map.get_uint("seed", spec.seed);
   spec.fsync_fail = map.get_uint("fsync_fail", 0);
-  spec.fsync_fail_from = map.get_uint("fsync_fail_from", 0);
   spec.torn_append = checked_probability(map, "torn_append");
   return spec;
 }
@@ -57,8 +54,6 @@ std::string FaultSpec::spec_string() const {
   ParamMap map;
   map.set_uint("seed", seed);
   if (fsync_fail != 0) map.set_uint("fsync_fail", fsync_fail);
-  if (fsync_fail_from != 0)
-    map.set_uint("fsync_fail_from", fsync_fail_from);
   if (torn_append > 0.0) map.set_double("torn_append", torn_append);
   return "fault:" + map.serialize();
 }
@@ -72,9 +67,7 @@ bool FaultInjector::fail_fsync() {
   ++s.ops;
   ++fsync_count_;
   const bool hit =
-      (spec_.fsync_fail != 0 && fsync_count_ == spec_.fsync_fail) ||
-      (spec_.fsync_fail_from != 0 &&
-       fsync_count_ >= spec_.fsync_fail_from);
+      spec_.fsync_fail != 0 && fsync_count_ == spec_.fsync_fail;
   if (hit) ++s.hits;
   return hit;
 }

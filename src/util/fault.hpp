@@ -34,11 +34,9 @@ namespace pns::fault {
 /// (one journal append); counts are 1-based ordinals. Everything
 /// defaults to "off", so an empty spec is a no-op injector.
 struct FaultSpec {
-  std::uint64_t seed = 1;      ///< master seed for every site stream
-  std::uint64_t fsync_fail = 0;       ///< fail exactly the Nth fsync; 0=off
-  std::uint64_t fsync_fail_from = 0;  ///< fail every fsync from the Nth
-                                      ///< on (a dead disk); 0 = off
-  double torn_append = 0.0;    ///< P(tear a journal line mid-append)
+  std::uint64_t seed = 1;        ///< master seed for every site stream
+  std::uint64_t fsync_fail = 0;  ///< fail exactly the Nth fsync; 0 = off
+  double torn_append = 0.0;      ///< P(tear a journal line mid-append)
 
   /// Parses "fault:key=value,..." (the prefix is optional: bare
   /// "key=value,..." and the lone word "fault" also parse). Throws
@@ -77,7 +75,7 @@ class FaultInjector {
 
   const FaultSpec& spec() const { return spec_; }
 
-  /// True: this fsync "fails" (per the Nth / from-Nth schedule).
+  /// True: this fsync "fails" (it is the scheduled Nth one).
   bool fail_fsync();
   /// Bytes of an `n`-byte line append to actually write; < n means the
   /// append tears at that offset.

@@ -216,28 +216,71 @@ grep -q "12 resumed from journal" old_resume.txt || \
   fail "rk23 journal resume re-simulated scenarios"
 cmp -s old.csv old_resumed.csv || fail "rk23 resumed CSV differs"
 
-# --- compact: rewritten journal resumes byte-identically
-"$BIN" quick --quiet --journal c.jsonl >/dev/null || fail "compact prep run failed"
-"$BIN" compact c.jsonl >compact_out.txt || fail "compact failed"
-grep -q "compacted" compact_out.txt || fail "compact: no summary line"
-[ "$(wc -l < c.jsonl)" -eq 2 ] || fail "compacted journal is not 2 lines"
-"$BIN" quick --quiet --resume --journal c.jsonl --csv compacted.csv \
-  >compact_resume.txt || fail "resume from compacted journal failed"
-grep -q "12 resumed from journal" compact_resume.txt || \
-  fail "compacted resume re-simulated scenarios"
-cmp -s ref.csv compacted.csv || fail "compacted-resume CSV differs"
-"$BIN" compact >/dev/null 2>&1 && fail "compact without a journal accepted"
+# --- the retired journal compaction and cost-balanced sharding are
+# refused as CLI misuse: exit 2, the problem named, no CSV written
+"$BIN" quick --quiet --journal c.jsonl >/dev/null || fail "journalled prep run failed"
+status=0
+"$BIN" compact c.jsonl --csv compact.csv >/dev/null 2>err.txt || status=$?
+[ "$status" -eq 2 ] || fail "removed compact subcommand: exit $status, expected 2"
+grep -q "unknown sweep: compact" err.txt || \
+  fail "removed compact subcommand not named in diagnostics"
+[ -e compact.csv ] && fail "removed compact subcommand wrote its CSV"
+status=0
+"$BIN" quick --quiet --cost-journal c.jsonl --csv cost.csv >/dev/null \
+  2>err.txt || status=$?
+[ "$status" -eq 2 ] || fail "removed --cost-journal flag: exit $status, expected 2"
+grep -q "unknown option: --cost-journal" err.txt || \
+  fail "removed --cost-journal flag not named in diagnostics"
+[ -e cost.csv ] && fail "removed --cost-journal flag wrote its CSV"
+status=0
+"$BIN" quick --quiet --out x --csv out.csv >/dev/null 2>err.txt || status=$?
+[ "$status" -eq 2 ] || fail "removed --out flag: exit $status, expected 2"
+grep -q "unknown option: --out" err.txt || \
+  fail "removed --out flag not named in diagnostics"
+[ -e out.csv ] && fail "removed --out flag wrote its CSV"
 
-# --- cost-balanced sharding: planned shards merge byte-identically
-"$BIN" quick --quiet --cost-journal c.jsonl 2>/dev/null && \
-  fail "--cost-journal without --shard accepted"
-"$BIN" quick --quiet --shard 0/2 --journal b0.jsonl --cost-journal c.jsonl \
-  >/dev/null || fail "cost-balanced shard 0/2 failed"
-"$BIN" quick --quiet --shard 1/2 --journal b1.jsonl --cost-journal c.jsonl \
-  >/dev/null || fail "cost-balanced shard 1/2 failed"
-"$BIN" merge --quiet --csv balanced.csv b0.jsonl b1.jsonl >/dev/null || \
-  fail "merge of cost-balanced shards failed"
-cmp -s ref.csv balanced.csv || fail "cost-balanced merged CSV differs"
+# --- a 1-thread journal is byte-for-byte its canonical (merged) form
+"$BIN" quick --quiet --threads 1 --journal one.jsonl >/dev/null || \
+  fail "1-thread journalled run failed"
+"$BIN" merge --quiet --journal canon.jsonl one.jsonl >/dev/null || \
+  fail "merge of the 1-thread journal failed"
+cmp -s one.jsonl canon.jsonl || fail "1-thread journal differs from its canonical form"
+
+# --- malformed numeric flags are CLI misuse: exit 2 with a one-line
+# diagnostic naming the flag and value, and nothing written.
+# usage: refused FLAG VALUE SWEEP [EXTRA ARGS...]
+refused() {
+  flag=$1
+  value=$2
+  shift 2
+  rm -f bad.csv bad.jsonl
+  status=0
+  "$BIN" "$@" --quiet --csv bad.csv "$flag" "$value" >/dev/null 2>err.txt || \
+    status=$?
+  [ "$status" -eq 2 ] || fail "$flag $value: exit $status, expected 2"
+  [ "$(wc -l < err.txt)" -eq 1 ] || fail "$flag $value: diagnostic is not one line"
+  grep -q "^invalid $flag '$value'" err.txt || fail "$flag $value: not named"
+  [ -e bad.csv ] && fail "$flag $value: wrote its CSV"
+  [ -e bad.jsonl ] && fail "$flag $value: wrote its journal"
+  return 0
+}
+refused --minutes abc table2
+refused --minutes -3 table2
+refused --minutes nan table2
+refused --minutes inf table2
+refused --minutes 0 table2
+refused --threads x quick
+refused --threads -1 quick
+refused --threads 2x quick
+refused --refine-tol abc capacitance --refine
+refused --refine-tol -0.5 capacitance --refine
+refused --refine-depth x capacitance --refine
+refused --refine-depth -1 capacitance --refine
+refused --shard 0/-4 quick --journal bad.jsonl
+refused --shard +0/2 quick --journal bad.jsonl
+"$BIN" quick --quiet --threads 0 --csv zero.csv >/dev/null || \
+  fail "--threads 0 (all cores) refused"
+cmp -s ref.csv zero.csv || fail "--threads 0 CSV differs from the reference"
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails CLI check(s) failed"

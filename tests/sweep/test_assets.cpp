@@ -163,11 +163,23 @@ std::string csv_of(const std::vector<SweepOutcome>& outcomes) {
   return os.str();
 }
 
-std::vector<SweepOutcome> run_with(const SweepSpec& sw, bool reuse) {
+std::vector<SweepOutcome> run_shared(const SweepSpec& sw) {
   SweepRunnerOptions opt;
   opt.threads = 4;
-  opt.reuse_assets = reuse;
   return SweepRunner(opt).run(sw);
+}
+
+/// Every row on its own through the asset-free run_scenario overload:
+/// each one rebuilds its inputs.
+std::vector<SweepOutcome> run_rebuilt(const SweepSpec& sw) {
+  std::vector<SweepOutcome> outcomes;
+  for (const ScenarioSpec& spec : sw.expand()) {
+    SweepOutcome& out = outcomes.emplace_back();
+    out.spec = spec;
+    out.result = run_scenario(spec);
+    out.ok = true;
+  }
+  return outcomes;
 }
 
 TEST(SweepRunnerAssets, EachTraceSynthesisedOncePerRun) {
@@ -176,25 +188,25 @@ TEST(SweepRunnerAssets, EachTraceSynthesisedOncePerRun) {
   ASSERT_EQ(sw.expand().size(), 15u);
 
   g_counted_builds = 0;
-  const auto shared = run_with(sw, /*reuse=*/true);
+  const auto shared = run_shared(sw);
   EXPECT_EQ(g_counted_builds.load(), 3);  // one per seed, not per worker
   for (const auto& o : shared) ASSERT_TRUE(o.ok) << o.error;
 
   // A second run() starts from an empty cache.
   g_counted_builds = 0;
-  run_with(sw, /*reuse=*/true);
+  run_shared(sw);
   EXPECT_EQ(g_counted_builds.load(), 3);
 
   g_counted_builds = 0;
-  const auto rebuilt = run_with(sw, /*reuse=*/false);
+  const auto rebuilt = run_rebuilt(sw);
   EXPECT_EQ(g_counted_builds.load(), 15);  // one per row
   EXPECT_EQ(csv_of(shared), csv_of(rebuilt));
 }
 
 TEST(SweepRunnerAssets, SharedTracesPublishTheBytesOfRebuiltOnes) {
   const SweepSpec sw = five_rows_per_trace("solar");
-  const auto shared = run_with(sw, /*reuse=*/true);
-  const auto rebuilt = run_with(sw, /*reuse=*/false);
+  const auto shared = run_shared(sw);
+  const auto rebuilt = run_rebuilt(sw);
   ASSERT_EQ(shared.size(), 15u);
   for (const auto& o : shared) ASSERT_TRUE(o.ok) << o.error;
   EXPECT_EQ(csv_of(shared), csv_of(rebuilt));

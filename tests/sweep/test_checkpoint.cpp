@@ -3,7 +3,6 @@
 // aggregate byte-identical to a single uninterrupted run.
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +18,7 @@
 #include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
 #include "util/contracts.hpp"
+#include "util/crc32.hpp"
 #include "util/fault.hpp"
 
 namespace pns::sweep {
@@ -83,6 +83,13 @@ std::vector<SummaryRow> uninterrupted_rows(
   return rows;
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 // ----------------------------------------------------------- journal
 
 TEST(Journal, RowsRoundTripBitExactly) {
@@ -140,32 +147,28 @@ TEST(Journal, FsyncDurabilityWritesIdenticalBytes) {
     JournalWriter b = JournalWriter::create(
         fsynced.path(), {"small", specs.size()}, JournalDurability::kFsync);
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      a.append(i, rows[i], 0.5);
-      b.append(i, rows[i], 0.5);
+      a.append(i, rows[i]);
+      b.append(i, rows[i]);
     }
   }
   // --fsync changes crash durability, never the bytes.
-  std::ifstream fa(flushed.path(), std::ios::binary);
-  std::ifstream fb(fsynced.path(), std::ios::binary);
-  std::stringstream sa, sb;
-  sa << fa.rdbuf();
-  sb << fb.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
-  EXPECT_NE(sa.str().find("pns-sweep-journal"), std::string::npos);
+  const std::string bytes = file_bytes(flushed.path());
+  EXPECT_EQ(bytes, file_bytes(fsynced.path()));
+  EXPECT_NE(bytes.find("pns-sweep-journal"), std::string::npos);
 }
 
-TEST(Journal, CanonicalFormIsIndexOrderedAndTimingFree) {
+TEST(Journal, CanonicalFormIsIndexOrdered) {
   const auto specs = small_sweep().expand();
   const auto rows = uninterrupted_rows(specs);
   TempFile file("pns-journal-canon");
 
-  // Completion-order appends with wall_s metadata...
+  // Appends in reverse (completion) order...
   std::map<std::size_t, SummaryRow> by_index;
   {
     JournalWriter writer =
         JournalWriter::create(file.path(), {"small", specs.size()});
     for (std::size_t k = rows.size(); k-- > 0;)
-      writer.append(k, rows[k], 0.1 * static_cast<double>(k));
+      writer.append(k, rows[k]);
     for (std::size_t i = 0; i < rows.size(); ++i)
       by_index.emplace(i, rows[i]);
   }
@@ -178,13 +181,7 @@ TEST(Journal, CanonicalFormIsIndexOrderedAndTimingFree) {
   TempFile canon_b("pns-journal-canon-b");
   write_canonical_journal(canon_b.path(), round.header, round.rows);
 
-  std::ifstream fa(canon_a.path(), std::ios::binary);
-  std::ifstream fb(canon_b.path(), std::ios::binary);
-  std::stringstream sa, sb;
-  sa << fa.rdbuf();
-  sb << fb.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
-  EXPECT_EQ(sa.str().find("wall_s"), std::string::npos);
+  EXPECT_EQ(file_bytes(canon_a.path()), file_bytes(canon_b.path()));
 
   // And reading the canonical journal back yields the original rows.
   const JournalContents canon = read_journal(canon_a.path());
@@ -377,7 +374,6 @@ TEST(Journal, FailedFsyncAppendThrowsThenResynchronises) {
   EXPECT_THROW(writer.append(0, full[0]), JournalError);
   EXPECT_NO_THROW(writer.append(0, full[0]));
   EXPECT_NO_THROW(writer.append(1, full[1]));
-  EXPECT_TRUE(writer.probe());
 
   const JournalContents contents = read_journal(file.path());
   EXPECT_EQ(contents.rows.size(), 2u);
@@ -641,63 +637,95 @@ TEST(SweepRunnerResume, JournaledLabelMismatchRejected) {
                JournalError);
 }
 
-// ---------------------------------------------------------- compaction
+// ------------------------------------------- journals of older builds
 
-TEST(Journal, CompactedJournalResumesIdentically) {
-  // The satellite contract: compacting a completed journal must not
-  // change what a resume computes -- byte for byte.
-  const auto specs = small_sweep().expand();
-  TempFile original("pns-compact-src");
-  const auto first = runner_with(2).resume(specs, original.path(), "small");
-  const std::string reference_csv = csv_of(first.rows);
-
-  TempFile compacted("pns-compact-dst");
-  const std::size_t rows =
-      compact_journal(original.path(), compacted.path());
-  EXPECT_EQ(rows, specs.size());
-
-  // The compacted journal parses to identical contents...
-  const JournalContents a = read_journal(original.path());
-  const JournalContents b = read_journal(compacted.path());
-  EXPECT_EQ(a.header, b.header);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  std::vector<SummaryRow> av, bv;
-  for (const auto& [i, row] : a.rows) av.push_back(row);
-  for (const auto& [i, row] : b.rows) bv.push_back(row);
-  EXPECT_EQ(csv_of(av), csv_of(bv));
-  EXPECT_EQ(a.costs, b.costs);
-  // ...and holds exactly two lines (header + rows block).
-  std::ifstream in(compacted.path());
-  std::size_t lines = 0;
-  for (std::string line; std::getline(in, line);) ++lines;
-  EXPECT_EQ(lines, 2u);
-
-  // Resuming from the compacted journal simulates nothing and publishes
-  // the identical aggregate.
-  const auto resumed =
-      runner_with(2).resume(specs, compacted.path(), "small");
-  EXPECT_EQ(resumed.reused, specs.size());
-  EXPECT_EQ(resumed.executed, 0u);
-  EXPECT_EQ(csv_of(resumed.rows), reference_csv);
+/// Re-frames a journal line body (no crc member) the way JournalWriter
+/// does: the CRC-32 of the body spliced in as the final member.
+std::string crc_framed(const std::string& body) {
+  return body.substr(0, body.size() - 1) + ",\"crc\":\"" +
+         crc32_hex(crc32(body)) + "\"}";
 }
 
-TEST(Journal, CompactInPlaceKeepsResumability) {
-  const auto specs = small_sweep().expand();
-  TempFile file("pns-compact-inplace");
-  const auto first = runner_with(2).resume(specs, file.path(), "small");
-  compact_journal(file.path(), file.path());
-  const auto resumed = runner_with(1).resume(specs, file.path(), "small");
-  EXPECT_EQ(resumed.reused, specs.size());
-  EXPECT_EQ(csv_of(resumed.rows), csv_of(first.rows));
+/// The body of a framed line: the line without its crc member.
+std::string unframed(const std::string& line) {
+  return line.substr(0, line.size() - 18) + "}";
 }
 
-TEST(Journal, CheckpointedRunsRecordCosts) {
+TEST(JournalCompat, RowLinesWithWallSResumeEveryRow) {
+  // Older builds wrote each row line as
+  //   {"kind":"row","i":N,"wall_s":S,"row":{...},"crc":"..."}
+  // The member is ignored: every row is reused and the aggregate is the
+  // one the journal recorded.
   const auto specs = small_sweep().expand();
-  TempFile file("pns-costs");
-  runner_with(2).resume(specs, file.path(), "small");
+  const auto full = uninterrupted_rows(specs);
+  TempFile file("pns-compat-wall-s");
+  runner_with(1).resume(specs, file.path(), "small");
+  auto lines = file_lines(file.path());
+  for (std::size_t k = 1; k < lines.size(); ++k) {
+    std::string body = unframed(lines[k]);
+    const std::size_t row = body.find(",\"row\":");
+    ASSERT_NE(row, std::string::npos) << body;
+    body.insert(row, ",\"wall_s\":0." + std::to_string(k));
+    lines[k] = crc_framed(body);
+  }
+  write_lines(file.path(), lines);
+
   const JournalContents contents = read_journal(file.path());
-  EXPECT_EQ(contents.costs.size(), specs.size());
-  for (const auto& [i, wall_s] : contents.costs) EXPECT_GE(wall_s, 0.0);
+  EXPECT_EQ(contents.dropped_lines, 0u);
+  EXPECT_EQ(contents.quarantined_lines, 0u);
+  EXPECT_EQ(contents.rows.size(), specs.size());
+  const auto report = runner_with(2).resume(specs, file.path(), "small");
+  EXPECT_EQ(report.reused, specs.size());
+  EXPECT_EQ(report.executed, 0u);
+  EXPECT_EQ(csv_of(report.rows), csv_of(full));
+}
+
+TEST(JournalCompat, RowsBlockIsDroppedAndItsRowsReRun) {
+  // Older builds could compact a journal into its header plus one
+  // {"kind":"rows","rows":[{"i":N,"wall_s":S,"row":{...}},...]} block.
+  // The block is not a row line: it is reported as a dropped line, never
+  // silently reused, and a resume re-runs its rows to the same bytes.
+  const auto specs = small_sweep().expand();
+  const auto full = uninterrupted_rows(specs);
+  TempFile file("pns-compat-rows-block");
+  runner_with(1).resume(specs, file.path(), "small");
+  const auto lines = file_lines(file.path());
+  std::string block = "{\"kind\":\"rows\",\"rows\":[";
+  for (std::size_t k = 1; k < lines.size(); ++k) {
+    const std::string body = unframed(lines[k]);
+    const std::string kind = "{\"kind\":\"row\",";
+    ASSERT_EQ(body.rfind(kind, 0), 0u) << body;
+    block += k > 1 ? ",{" : "{";
+    block.append(body, kind.size());
+  }
+  block += "]}";
+  write_lines(file.path(), {lines[0], crc_framed(block)});
+
+  const JournalContents contents = read_journal(file.path());
+  EXPECT_EQ(contents.header, (JournalHeader{"small", specs.size()}));
+  EXPECT_TRUE(contents.rows.empty());
+  EXPECT_EQ(contents.dropped_lines, 1u);
+  EXPECT_EQ(contents.quarantined_lines, 0u);
+  ASSERT_EQ(contents.notes.size(), 1u);
+  EXPECT_NE(contents.notes[0].find("'rows'"), std::string::npos)
+      << contents.notes[0];
+
+  const auto report = runner_with(2).resume(specs, file.path(), "small");
+  EXPECT_EQ(report.reused, 0u);
+  EXPECT_EQ(report.executed, specs.size());
+  EXPECT_EQ(csv_of(report.rows), csv_of(full));
+}
+
+TEST(Journal, SingleThreadJournalIsItsCanonicalForm) {
+  // A journal holds only what the sweep computed, so a 1-thread run (rows
+  // appended in index order) writes exactly the canonical bytes.
+  const auto specs = small_sweep().expand();
+  TempFile file("pns-journal-one-thread");
+  runner_with(1).resume(specs, file.path(), "small");
+  const JournalContents contents = read_journal(file.path());
+  TempFile canon("pns-journal-one-thread-canon");
+  write_canonical_journal(canon.path(), contents.header, contents.rows);
+  EXPECT_EQ(file_bytes(file.path()), file_bytes(canon.path()));
 }
 
 // -------------------------------------------------------------- shards
@@ -753,84 +781,6 @@ TEST(SweepRunnerShards, MergedShardJournalsMatchSingleRunByteForByte) {
     EXPECT_EQ(csv_of(rows), reference_csv) << n << " shards";
     EXPECT_EQ(json_of(rows), reference_json) << n << " shards";
   }
-}
-
-TEST(PlanShards, NoCostsDegradesToContiguousRanges) {
-  const std::map<std::size_t, double> none;
-  for (std::size_t total : {0u, 1u, 7u, 12u}) {
-    for (std::size_t n : {1u, 2u, 3u, 5u}) {
-      const auto plan = plan_shards(total, n, none);
-      ASSERT_EQ(plan.size(), n);
-      for (std::size_t k = 0; k < n; ++k) {
-        const ShardRange r = shard_range(total, k, n);
-        ASSERT_EQ(plan[k].size(), r.size());
-        for (std::size_t j = 0; j < plan[k].size(); ++j)
-          EXPECT_EQ(plan[k][j], r.begin + j);
-      }
-    }
-  }
-}
-
-TEST(PlanShards, BalancesByMeasuredCostAndPartitionsExactly) {
-  // One pathologically slow scenario: contiguous sharding would pair it
-  // with its neighbours; LPT must isolate it and spread the rest.
-  std::map<std::size_t, double> costs;
-  for (std::size_t i = 0; i < 8; ++i) costs[i] = 1.0;
-  costs[3] = 10.0;
-  const auto plan = plan_shards(8, 2, costs);
-  ASSERT_EQ(plan.size(), 2u);
-  // Exact partition of [0, 8).
-  std::vector<int> covered(8, 0);
-  for (const auto& shard : plan) {
-    EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
-    for (std::size_t i : shard) ++covered[i];
-  }
-  for (int c : covered) EXPECT_EQ(c, 1);
-  // The slow spec's shard carries it alone-ish: loads are 10 vs 7.
-  double load0 = 0.0, load1 = 0.0;
-  for (std::size_t i : plan[0]) load0 += costs[i];
-  for (std::size_t i : plan[1]) load1 += costs[i];
-  EXPECT_EQ(std::max(load0, load1), 10.0);
-  EXPECT_EQ(std::min(load0, load1), 7.0);
-  // Deterministic: same inputs, same partition.
-  EXPECT_EQ(plan_shards(8, 2, costs), plan);
-}
-
-TEST(SweepRunnerShards, CostBalancedShardsMergeByteIdentically) {
-  // The full cost-balanced workflow: a prior journal provides wall_s,
-  // plan_shards carves (non-contiguous) shards, each worker journals its
-  // share, and the merged union still reproduces the canonical
-  // aggregate byte for byte.
-  const auto specs = small_sweep().expand();
-  const auto full = uninterrupted_rows(specs);
-  const std::string reference_csv = csv_of(full);
-
-  TempFile prior("pns-balance-prior");
-  runner_with(2).resume(specs, prior.path(), "small");
-  const JournalContents measured = read_journal(prior.path());
-  ASSERT_EQ(measured.costs.size(), specs.size());
-
-  const auto plan = plan_shards(specs.size(), 3, measured.costs);
-  std::vector<TempFile> files;
-  files.reserve(3);
-  for (std::size_t k = 0; k < 3; ++k)
-    files.emplace_back("pns-balance-" + std::to_string(k));
-  for (std::size_t k = 0; k < 3; ++k) {
-    const auto report = runner_with(2).run_checkpointed(
-        specs, files[k].path(), "small", plan[k]);
-    EXPECT_EQ(report.executed, plan[k].size());
-    EXPECT_EQ(report.rows.size(), plan[k].size());
-  }
-  std::map<std::size_t, SummaryRow> merged;
-  for (const auto& f : files) {
-    JournalContents part =
-        read_journal(f.path(), JournalHeader{"small", specs.size()});
-    merged.insert(part.rows.begin(), part.rows.end());
-  }
-  ASSERT_EQ(merged.size(), specs.size());
-  std::vector<SummaryRow> rows;
-  for (auto& [i, row] : merged) rows.push_back(std::move(row));
-  EXPECT_EQ(csv_of(rows), reference_csv);
 }
 
 TEST(SweepRunnerShards, Rk23PiShardsMergeByteIdentically) {

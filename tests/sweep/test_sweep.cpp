@@ -310,14 +310,18 @@ TEST(SweepRunner, ExactPvModeBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(SweepRunner, AssetReuseBitIdenticalToRebuilding) {
-  // Cached weather traces are pure functions of their keys: disabling
-  // the per-worker asset cache must not move a single output bit.
+  // Cached weather traces are pure functions of their keys: running
+  // each row on its own, rebuilding its inputs (the asset-free
+  // run_scenario overload), must not move a single output bit.
   const auto sw = determinism_sweep();
-  SweepRunnerOptions no_reuse_opt;
-  no_reuse_opt.threads = 2;
-  no_reuse_opt.reuse_assets = false;
   const auto reused = runner_with(2).run(sw);
-  const auto rebuilt = SweepRunner(no_reuse_opt).run(sw);
+  std::vector<SweepOutcome> rebuilt;
+  for (const ScenarioSpec& spec : sw.expand()) {
+    SweepOutcome& out = rebuilt.emplace_back();
+    out.spec = spec;
+    out.result = run_scenario(spec);
+    out.ok = true;
+  }
   EXPECT_EQ(csv_of(reused), csv_of(rebuilt));
 }
 

@@ -16,10 +16,9 @@ namespace {
 
 TEST(FaultSpec, ParsesFullGrammar) {
   const FaultSpec spec = FaultSpec::parse(
-      "fault:seed=7,fsync_fail=2,fsync_fail_from=9,torn_append=0.2");
+      "fault:seed=7,fsync_fail=2,torn_append=0.2");
   EXPECT_EQ(spec.seed, 7u);
   EXPECT_EQ(spec.fsync_fail, 2u);
-  EXPECT_EQ(spec.fsync_fail_from, 9u);
   EXPECT_DOUBLE_EQ(spec.torn_append, 0.2);
 }
 
@@ -35,7 +34,7 @@ TEST(FaultSpec, SpecStringRoundTrips) {
   const char* cases[] = {
       "fault:seed=7,torn_append=0.1,fsync_fail=2",
       "fault:seed=1",
-      "fault:seed=42,torn_append=0.5,fsync_fail_from=3",
+      "fault:seed=42,torn_append=0.5,fsync_fail=3",
   };
   for (const char* text : cases) {
     const FaultSpec spec = FaultSpec::parse(text);
@@ -69,7 +68,7 @@ std::vector<std::uint64_t> exercise(FaultInjector& f) {
 
 TEST(FaultInjector, SameSeedReplaysTheSameSchedule) {
   const FaultSpec spec =
-      FaultSpec::parse("fault:seed=7,fsync_fail_from=50,torn_append=0.2");
+      FaultSpec::parse("fault:seed=7,fsync_fail=50,torn_append=0.2");
   FaultInjector a(spec);
   FaultInjector b(spec);
   EXPECT_EQ(exercise(a), exercise(b));
@@ -90,7 +89,7 @@ TEST(FaultInjector, SitesAreIndependentStreams) {
   // change that site's sequence -- this is what makes fault runs immune
   // to thread-interleaving across components.
   const FaultSpec spec =
-      FaultSpec::parse("fault:seed=9,fsync_fail_from=3,torn_append=0.5");
+      FaultSpec::parse("fault:seed=9,fsync_fail=3,torn_append=0.5");
   FaultInjector lone(spec);
   FaultInjector mixed(spec);
   std::vector<std::size_t> lone_seq, mixed_seq;
@@ -122,19 +121,12 @@ TEST(FaultInjector, TornAppendStreamKeepsItsSeedOffset) {
 }
 
 TEST(FaultInjector, FsyncScheduleCountsFromOne) {
-  {  // exactly the Nth fsync fails
-    FaultInjector f(FaultSpec::parse("fault:seed=1,fsync_fail=3"));
-    std::vector<bool> fails;
-    for (int k = 0; k < 6; ++k) fails.push_back(f.fail_fsync());
-    EXPECT_EQ(fails,
-              (std::vector<bool>{false, false, true, false, false, false}));
-  }
-  {  // every fsync from the Nth on fails (dead disk)
-    FaultInjector f(FaultSpec::parse("fault:seed=1,fsync_fail_from=2"));
-    std::vector<bool> fails;
-    for (int k = 0; k < 4; ++k) fails.push_back(f.fail_fsync());
-    EXPECT_EQ(fails, (std::vector<bool>{false, true, true, true}));
-  }
+  // Exactly the Nth fsync fails.
+  FaultInjector f(FaultSpec::parse("fault:seed=1,fsync_fail=3"));
+  std::vector<bool> fails;
+  for (int k = 0; k < 6; ++k) fails.push_back(f.fail_fsync());
+  EXPECT_EQ(fails,
+            (std::vector<bool>{false, false, true, false, false, false}));
 }
 
 TEST(FaultInjector, TearOffsetsStayInsideTheLine) {

@@ -4,10 +4,10 @@
 // was built) plus wall-clock timings of the `table2` sweep -- exact and
 // tabulated PV, the rk23pi integrator (with the PV implicit-solve
 // accounting: iteration counts, memo/table hit rates and warm starts),
-// an asset-reuse A/B, and the same sweep on the 2-domain biglittle
-// platform (the joint-ladder dispatch tax) -- and writes one JSON
-// document (BENCH_<n>.json) that
-// future PRs append to -- the repo's record that the hot path stays fast:
+// and the same sweep on the 2-domain biglittle platform (the
+// joint-ladder dispatch tax) -- and writes one JSON document
+// (BENCH_<n>.json) that future reports are compared against -- the
+// repo's record that the hot path stays fast:
 //
 //   pns_bench_report                        # full run, writes BENCH_12.json
 //   pns_bench_report --quick --out q.json   # CI smoke (~seconds)
@@ -126,7 +126,6 @@ struct SweepTiming {
 
 SweepTiming time_table2(const Options& opt, ehsim::PvSource::Mode mode,
                         const std::string& integrator = "rk23",
-                        bool reuse_assets = true,
                         const std::string& platform = "") {
   auto sw = sweep::table2_sweep(opt.minutes, {42, 43, 44});
   sw.base.pv_mode = mode;
@@ -137,7 +136,6 @@ SweepTiming time_table2(const Options& opt, ehsim::PvSource::Mode mode,
 
   sweep::SweepRunnerOptions ropt;
   ropt.threads = opt.threads;
-  ropt.reuse_assets = reuse_assets;
   sweep::SweepRunner runner(ropt);
 
   SweepTiming t;
@@ -278,17 +276,10 @@ int main(int argc, char** argv) {
   const auto pi =
       time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23pi");
   std::fprintf(stderr,
-               "timing table2 sweep (exact PV, no asset reuse, %.0f "
-               "min)...\n",
-               opt.minutes);
-  const auto no_reuse = time_table2(opt, ehsim::PvSource::Mode::kExact,
-                                    "rk23", /*reuse_assets=*/false);
-  std::fprintf(stderr,
                "timing table2 sweep (biglittle platform, %.0f min)...\n",
                opt.minutes);
   const auto biglittle =
-      time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23",
-                  /*reuse_assets=*/true, "biglittle");
+      time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23", "biglittle");
   std::ofstream out(opt.out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", opt.out_path.c_str());
@@ -308,8 +299,6 @@ int main(int argc, char** argv) {
   write_sweep(w, tab);
   w.key("rk23pi");
   write_sweep(w, pi);
-  w.key("exact_no_asset_reuse");
-  write_sweep(w, no_reuse);
   w.end_object();
   // Same schemes and windows on the compiled 2-domain platform: what
   // the joint-ladder dispatch and per-domain accounting cost relative
@@ -344,12 +333,11 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", opt.out_path.c_str());
   std::printf("table2 exact: %.2f s wall (%.0fx realtime); tabulated: "
               "%.2f s wall (%.0fx realtime); rk23pi: %.2f s wall "
-              "(%.0fx realtime); no asset reuse: %.2f s wall\n",
+              "(%.0fx realtime)\n",
               exact.wall_s,
               exact.wall_s > 0 ? exact.simulated_s / exact.wall_s : 0.0,
               tab.wall_s, tab.wall_s > 0 ? tab.simulated_s / tab.wall_s : 0.0,
-              pi.wall_s, pi.wall_s > 0 ? pi.simulated_s / pi.wall_s : 0.0,
-              no_reuse.wall_s);
+              pi.wall_s, pi.wall_s > 0 ? pi.simulated_s / pi.wall_s : 0.0);
   print_pv("exact:", exact);
   print_pv("tabulated:", tab);
   print_pv("rk23pi:", pi);
@@ -359,7 +347,6 @@ int main(int argc, char** argv) {
                   ? biglittle.simulated_s / biglittle.wall_s
                   : 0.0);
   const bool sweeps_ok = exact.failed == 0 && tab.failed == 0 &&
-                         pi.failed == 0 && no_reuse.failed == 0 &&
-                         biglittle.failed == 0;
+                         pi.failed == 0 && biglittle.failed == 0;
   return sweeps_ok ? 0 : 1;
 }

@@ -32,7 +32,9 @@
 // Sweep outputs are bit-identical across thread counts, interruptions and
 // shard counts (verified by tests/sweep/), so --threads/--shard/--resume
 // only change wall-clock and durability, never the published aggregate.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,10 +86,6 @@ struct Options {
   bool sharded = false;
   std::size_t shard_k = 0;
   std::size_t shard_n = 1;
-  /// Prior journal whose measured wall_s entries balance the shards.
-  std::string cost_journal_path;
-  /// `compact --out`: compacted journal destination (default: in place).
-  std::string out_path;
 
   // Adaptive refinement.
   bool refine = false;
@@ -104,10 +102,9 @@ void usage(const char* argv0) {
       "       %s list\n"
       "       %s merge [--csv PATH] [--json PATH] [--journal PATH] "
       "[--quiet] JOURNAL...\n"
-      "       %s compact [--out PATH] JOURNAL\n"
       "\n"
       "sweeps:\n",
-      argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0);
   for (const auto& p : sweep::sweep_presets())
     std::printf("  %-12s %s\n", p.name.c_str(), p.summary.c_str());
   std::printf(
@@ -121,7 +118,7 @@ void usage(const char* argv0) {
       "                (repeatable; e.g. shadow:depth=0.2, trace:file=x.csv,"
       "\n"
       "                flicker:period=30,depth=0.5)\n"
-      "  --threads N   worker threads (default: hardware concurrency)\n"
+      "  --threads N   worker threads (default 0: hardware concurrency)\n"
       "  --minutes M   simulated window length where applicable "
       "(default 60)\n"
       "  --csv PATH    write the aggregate rows as CSV\n"
@@ -142,7 +139,7 @@ void usage(const char* argv0) {
       "  --journal P   append each completed scenario to the checkpoint\n"
       "                journal at P (JSON lines; see docs/sweeps.md);\n"
       "                with merge: write the canonical journal\n"
-      "                (index order, no timing) of the full row set to P\n"
+      "                (index order) of the full row set to P\n"
       "  --fsync       fsync the journal after every append, so rows\n"
       "                survive a machine crash (requires --journal)\n"
       "  --resume      reuse completed rows from an existing --journal\n"
@@ -150,9 +147,6 @@ void usage(const char* argv0) {
       "  --shard K/N   run only the K-th (0-based) of N contiguous spec\n"
       "                ranges; requires --journal, fold partial journals\n"
       "                with the merge subcommand\n"
-      "  --cost-journal P  balance --shard K/N by the measured wall_s\n"
-      "                entries of the prior journal at P (same sweep)\n"
-      "                instead of contiguous index ranges\n"
       "  --refine      after the pass, bisect capacitance intervals whose\n"
       "                adjacent rows diverge (adaptive axis refinement)\n"
       "  --refine-metric M  aggregate column compared (default brownouts)\n"
@@ -292,46 +286,34 @@ int run_merge(const std::vector<std::string>& journals, const Options& opt) {
   }
 }
 
-/// The `compact` subcommand: rewrites a journal as header + one
-/// aggregate rows block (sweep::compact_journal).
-int run_compact(const std::vector<std::string>& journals,
-                const Options& opt) {
-  if (journals.size() != 1) {
-    std::fprintf(stderr, "compact: expected exactly one journal file\n");
-    return 2;
-  }
-  const std::string& in = journals[0];
-  const std::string out = opt.out_path.empty() ? in : opt.out_path;
-  try {
-    const std::size_t rows = sweep::compact_journal(in, out);
-    if (!opt.quiet)
-      std::printf("compacted %s -> %s (%zu rows)\n", in.c_str(),
-                  out.c_str(), rows);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "compact: %s\n", e.what());
-    return 1;
-  }
+/// Parses the whole of `text` as a non-negative decimal integer: digits
+/// only -- no sign, space or trailing characters -- and in range of T.
+template <typename T>
+bool parse_count(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Parses the whole of `text` as a finite decimal number.
+bool parse_finite(const std::string& text, double& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end && std::isfinite(out);
 }
 
 bool parse_shard(const std::string& text, Options& opt) {
   const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 >= text.size())
+  if (slash == std::string::npos) return false;
+  std::size_t k = 0;
+  std::size_t n = 0;
+  if (!parse_count(text.substr(0, slash), k) ||
+      !parse_count(text.substr(slash + 1), n) || k >= n)
     return false;
-  // Named locals: the *end checks must not outlive the strings they
-  // point into.
-  const std::string k_text = text.substr(0, slash);
-  const std::string n_text = text.substr(slash + 1);
-  char* end = nullptr;
-  const unsigned long long k = std::strtoull(k_text.c_str(), &end, 10);
-  if (end != k_text.c_str() + k_text.size()) return false;
-  const unsigned long long n = std::strtoull(n_text.c_str(), &end, 10);
-  if (end != n_text.c_str() + n_text.size()) return false;
-  if (n == 0 || k >= n) return false;
   opt.sharded = true;
-  opt.shard_k = static_cast<std::size_t>(k);
-  opt.shard_n = static_cast<std::size_t>(n);
+  opt.shard_k = k;
+  opt.shard_n = n;
   return true;
 }
 
@@ -352,8 +334,7 @@ int main(int argc, char** argv) {
   if (opt.sweep_name == "list") return run_list();
 
   const bool merging = opt.sweep_name == "merge";
-  const bool compacting = opt.sweep_name == "compact";
-  std::vector<std::string> positional_journals;
+  std::vector<std::string> positional;
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -363,6 +344,13 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    // A malformed numeric value is CLI misuse, refused before anything
+    // runs or is written.
+    auto bad_value = [&](const char* value, const char* expected) {
+      std::fprintf(stderr, "invalid %s '%s': expected %s\n", arg.c_str(),
+                   value, expected);
+      std::exit(2);
     };
     if (arg == "--control" || arg == "--source" || arg == "--integrator" ||
         arg == "--platform") {
@@ -387,11 +375,15 @@ int main(int argc, char** argv) {
                      argv[0]);
         return 2;
       }
-    } else if (arg == "--threads")
-      opt.threads = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--minutes")
-      opt.minutes = std::atof(next());
-    else if (arg == "--csv")
+    } else if (arg == "--threads") {
+      const char* value = next();
+      if (!parse_count(value, opt.threads))
+        bad_value(value, "an integer >= 0 (0 = all cores)");
+    } else if (arg == "--minutes") {
+      const char* value = next();
+      if (!parse_finite(value, opt.minutes) || opt.minutes <= 0.0)
+        bad_value(value, "a finite number > 0");
+    } else if (arg == "--csv")
       opt.csv_path = next();
     else if (arg == "--json")
       opt.json_path = next();
@@ -409,10 +401,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--journal")
       opt.journal_path = next();
-    else if (arg == "--cost-journal")
-      opt.cost_journal_path = next();
-    else if (arg == "--out")
-      opt.out_path = next();
     else if (arg == "--resume")
       opt.resume = true;
     else if (arg == "--shard") {
@@ -428,20 +416,24 @@ int main(int argc, char** argv) {
       opt.refine = true;
     else if (arg == "--refine-metric")
       opt.refine_options.metric = next();
-    else if (arg == "--refine-tol")
-      opt.refine_options.tolerance = std::atof(next());
-    else if (arg == "--refine-depth")
-      opt.refine_options.max_depth = std::atoi(next());
-    else if (arg == "--quiet")
+    else if (arg == "--refine-tol") {
+      const char* value = next();
+      if (!parse_finite(value, opt.refine_options.tolerance) ||
+          opt.refine_options.tolerance < 0.0)
+        bad_value(value, "a finite number >= 0");
+    } else if (arg == "--refine-depth") {
+      const char* value = next();
+      if (!parse_count(value, opt.refine_options.max_depth))
+        bad_value(value, "an integer >= 0");
+    } else if (arg == "--quiet")
       opt.quiet = true;
     else if (arg == "--fsync")
       opt.fsync = true;
     else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    } else if ((merging || compacting) &&
-               arg.rfind("--", 0) != 0) {
-      positional_journals.push_back(arg);
+    } else if (arg.rfind("--", 0) != 0) {
+      positional.push_back(arg);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage(argv[0]);
@@ -449,12 +441,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!compacting && !opt.out_path.empty()) {
-    std::fprintf(stderr, "--out only applies to the compact subcommand\n");
-    return 2;
-  }
-  if (merging) return run_merge(positional_journals, opt);
-  if (compacting) return run_compact(positional_journals, opt);
+  if (merging) return run_merge(positional, opt);
   if (opt.fsync && opt.journal_path.empty()) {
     std::fprintf(stderr, "--fsync requires --journal\n");
     return 2;
@@ -465,6 +452,13 @@ int main(int argc, char** argv) {
   if (!preset) {
     std::fprintf(stderr, "unknown sweep: %s\n", opt.sweep_name.c_str());
     list_sweeps(stderr);
+    return 2;
+  }
+  if (!positional.empty()) {
+    std::fprintf(stderr,
+                 "unexpected argument: %s (only merge takes journal "
+                 "files)\n",
+                 positional[0].c_str());
     return 2;
   }
   sweep::SweepSpec sw = preset->make(opt.minutes);
@@ -497,12 +491,6 @@ int main(int argc, char** argv) {
                  "instead of a shard\n");
     return 2;
   }
-  if (!opt.cost_journal_path.empty() && !opt.sharded) {
-    std::fprintf(stderr,
-                 "--cost-journal only balances sharded runs; pass "
-                 "--shard K/N\n");
-    return 2;
-  }
   if (opt.refine && !sweep::metric_accessor(opt.refine_options.metric)) {
     std::fprintf(stderr, "unknown --refine-metric: %s (valid:",
                  opt.refine_options.metric.c_str());
@@ -527,35 +515,9 @@ int main(int argc, char** argv) {
 
   const auto specs = sw.expand();
 
-  // The shard's index set: contiguous by default; balanced by the prior
-  // journal's measured costs when one is given (falls back to contiguous
-  // when the journal recorded none).
-  sweep::ShardIndices shard_indices;
-  if (opt.sharded && !opt.cost_journal_path.empty()) {
-    try {
-      const sweep::JournalContents prior = sweep::read_journal(
-          opt.cost_journal_path,
-          sweep::JournalHeader{journal_name, specs.size()});
-      shard_indices = sweep::plan_shards(specs.size(), opt.shard_n,
-                                         prior.costs)[opt.shard_k];
-      if (!opt.quiet && prior.costs.empty())
-        std::fprintf(stderr,
-                     "note: %s holds no wall_s entries; using contiguous "
-                     "shards\n",
-                     opt.cost_journal_path.c_str());
-    } catch (const sweep::JournalError& e) {
-      std::fprintf(stderr, "--cost-journal: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    const sweep::ShardRange range =
-        opt.sharded
-            ? sweep::shard_range(specs.size(), opt.shard_k, opt.shard_n)
-            : sweep::ShardRange{0, specs.size()};
-    shard_indices.resize(range.size());
-    for (std::size_t j = 0; j < range.size(); ++j)
-      shard_indices[j] = range.begin + j;
-  }
+  const sweep::ShardRange range =
+      opt.sharded ? sweep::shard_range(specs.size(), opt.shard_k, opt.shard_n)
+                  : sweep::ShardRange{0, specs.size()};
 
   if (!opt.journal_path.empty() && !opt.resume &&
       std::ifstream(opt.journal_path).good()) {
@@ -580,19 +542,15 @@ int main(int argc, char** argv) {
 
   std::printf("sweep '%s': %zu scenarios", opt.sweep_name.c_str(),
               specs.size());
-  if (opt.sharded) {
+  if (opt.sharded)
     std::printf(", shard %zu/%zu -> %zu spec(s)", opt.shard_k, opt.shard_n,
-                shard_indices.size());
-    if (!opt.cost_journal_path.empty())
-      std::printf(" (cost-balanced)");
-  }
-  std::printf(" on %u thread(s)\n\n",
-              runner.effective_threads(shard_indices.size()));
+                range.size());
+  std::printf(" on %u thread(s)\n\n", runner.effective_threads(range.size()));
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<sweep::SummaryRow> rows;
   std::size_t reused = 0;
-  std::size_t executed = shard_indices.size();
+  std::size_t executed = range.size();
   try {
     if (opt.journal_path.empty()) {
       const auto outcomes = runner.run(specs);
@@ -600,7 +558,7 @@ int main(int argc, char** argv) {
       for (const auto& o : outcomes) rows.push_back(sweep::summarize(o));
     } else {
       auto report = runner.run_checkpointed(specs, opt.journal_path,
-                                            journal_name, shard_indices);
+                                            journal_name, range);
       rows = std::move(report.rows);
       reused = report.reused;
       executed = report.executed;
