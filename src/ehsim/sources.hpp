@@ -21,7 +21,7 @@ namespace pns::ehsim {
 /// Accounting of the PV implicit solves behind a PvSource. Pure
 /// observability: counting changes no arithmetic, and none of these
 /// numbers reach the default CSV/JSON emitters -- they surface through
-/// pns_bench_report and the repository benchmark's per-layer split.
+/// the repository benchmark's per-layer split (perfbench, `ehsim.pv.*`).
 struct PvSolveStats {
   std::uint64_t calls = 0;         ///< current() evaluations
   std::uint64_t table_hits = 0;    ///< answered by the bilinear table

@@ -19,6 +19,10 @@ constexpr int kTagRecover = 4;   // node rose through the reboot level
 
 constexpr double kTimeEps = 1e-9;
 
+/// Coasting drift budget: a coast jump may move VC by at most this much
+/// (0.1 mV, well inside rk23pi's ~0.5 mV local error on a 5 V node).
+constexpr double kCoastDvTolV = 1e-4;
+
 /// Per-domain energy, instructions and budget share of a multi-domain
 /// platform, accumulated segment by segment.
 struct DomainLedger {
@@ -219,7 +223,7 @@ bool SimEngine::try_coast(double t, double vc, double next_gov_tick,
   // stop grid simply keeps stepping, which is the faster choice there.
   if (span <= 2.0 * cfg_.max_segment_s) return false;
 
-  const double tol = cfg_.coast_dv_tol_v;
+  const double tol = kCoastDvTolV;
   auto dvdt = [&](double v) {
     double d = 0.0;
     circuit_.derivatives(t, std::span<const double>(&v, 1),

@@ -65,11 +65,10 @@ struct SimConfig {
       ehsim::EventLocalization::kDenseRoot;
   /// Steady-state coasting: when the circuit is provably time-invariant
   /// (source, load and workload all vouch via constant_until) and VC can
-  /// neither drift by more than `coast_dv_tol_v` nor reach a watched
-  /// threshold over the span, the engine advances to the next breakpoint
-  /// in one analytic jump instead of stepping through it.
+  /// neither drift by more than 0.1 mV nor reach a watched threshold over
+  /// the span, the engine advances to the next breakpoint in one analytic
+  /// jump instead of stepping through it.
   bool coast = true;
-  double coast_dv_tol_v = 1e-4;
   /// Governor-tick elision: before each segment, ask the governor (via
   /// Governor::hold_until) and the workload (constant_until) for a window
   /// over which every sampling tick is provably a no-op -- the measured
@@ -187,7 +186,7 @@ class SimEngine {
   /// Steady-state coasting: if the span [t, horizon] (timed boundaries
   /// and the circuit's vouched time-invariance window, computed inside)
   /// is quiescent -- |dVC/dt| small enough that VC stays within
-  /// cfg_.coast_dv_tol_v, the flow at the tolerance boundaries points
+  /// the 0.1 mV drift budget, the flow at the budget's boundaries points
   /// inward (no jump across an unstable equilibrium), and every watched
   /// threshold is out of reach -- advances the integrator analytically to
   /// the horizon and returns true with `out` describing the jump.

@@ -63,7 +63,7 @@ struct SimMetrics {
   /// PV implicit-solve accounting of the run's source (zeroed when the
   /// source is not a PvSource). Observability only: deliberately NOT
   /// serialised by write_summary_row_json, so default CSV/JSON outputs
-  /// stay byte-identical; pns_bench_report prints it.
+  /// stay byte-identical.
   ehsim::PvSolveStats pv_solve;
 
   double duration() const { return t_end - t_start; }

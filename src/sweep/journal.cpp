@@ -127,9 +127,18 @@ JournalWriter JournalWriter::create(
 JournalWriter JournalWriter::append_to(
     const std::string& path, JournalDurability durability,
     std::shared_ptr<fault::FaultInjector> fault) {
-  std::FILE* out = std::fopen(path.c_str(), "ab");
+  // "a+b": appends always land at the end, and the last byte stays
+  // readable -- a file killed mid-append ends without its newline.
+  std::FILE* out = std::fopen(path.c_str(), "a+b");
   if (!out) throw JournalError("cannot open journal for append: " + path);
-  return JournalWriter(out, durability, std::move(fault));
+  JournalWriter writer(out, durability, std::move(fault));
+  if (std::fseek(out, -1, SEEK_END) == 0) {
+    // A torn trailing line: re-synchronise onto a fresh line, or the
+    // first appended row would be glued onto the fragment and lost.
+    writer.maybe_torn_ = std::fgetc(out) != '\n';
+    std::fseek(out, 0, SEEK_END);  // a read must not run into a write
+  }
+  return writer;
 }
 
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept

@@ -106,8 +106,10 @@ class JournalWriter {
       JournalDurability durability = JournalDurability::kFlush,
       std::shared_ptr<fault::FaultInjector> fault = nullptr);
 
-  /// Opens `path` for appending without touching existing contents. The
-  /// caller is expected to have validated the header via read_journal.
+  /// Opens `path` for appending without touching existing contents. When
+  /// the file ends mid-line (a run killed mid-append), the first append
+  /// starts on a fresh line, leaving the fragment its own dropped line.
+  /// The caller is expected to have validated the header via read_journal.
   static JournalWriter append_to(
       const std::string& path,
       JournalDurability durability = JournalDurability::kFlush,

@@ -71,12 +71,6 @@ void register_builtin_integrators(IntegratorRegistry& registry) {
            "granularity"},
           {"max_step", "double", "",
            "step-size ceiling in seconds (default: the segment span)"},
-          {"coast", "bool", defaults.coast ? "true" : "false",
-           "steady-state coasting across quiescent spans"},
-          {"coast_tol", "double", shortest_double(defaults.coast_dv_tol_v),
-           "coasting drift budget on VC (volts)"},
-          {"elide", "bool", defaults.gov_tick_elide ? "true" : "false",
-           "governor-tick elision across provable no-op ticks"},
       },
       [defaults](const ScenarioSpec&, const ParamMap& params,
                  sim::SimConfig& cfg) {
@@ -91,10 +85,8 @@ void register_builtin_integrators(IntegratorRegistry& registry) {
         cfg.abs_tol = params.get_double("atol", cfg.abs_tol);
         cfg.step_control = ehsim::StepControl::kPi;
         cfg.event_localization = ehsim::EventLocalization::kDenseRoot;
-        cfg.coast = params.get_bool("coast", defaults.coast);
-        cfg.coast_dv_tol_v =
-            params.get_double("coast_tol", defaults.coast_dv_tol_v);
-        cfg.gov_tick_elide = params.get_bool("elide", defaults.gov_tick_elide);
+        cfg.coast = defaults.coast;
+        cfg.gov_tick_elide = defaults.gov_tick_elide;
       },
   });
 }

@@ -96,6 +96,7 @@ ResumeReport SweepRunner::run_checkpointed(
     const std::string& sweep_name, ShardRange range) const {
   PNS_EXPECTS(range.begin <= range.end && range.end <= specs.size());
   const JournalHeader header{sweep_name, specs.size()};
+  ResumeReport report;
 
   // Load whatever a previous (possibly killed) invocation recorded.
   std::map<std::size_t, SummaryRow> done;
@@ -105,6 +106,7 @@ ResumeReport SweepRunner::run_checkpointed(
   if (journal_exists) {
     JournalContents contents = read_journal(journal_path, header);
     done = std::move(contents.rows);
+    report.notes = std::move(contents.notes);
     // A journaled row must describe the spec at its index; anything else
     // means the journal belongs to a differently parameterised sweep
     // (same name/size, different axes), which would corrupt the merge.
@@ -137,7 +139,6 @@ ResumeReport SweepRunner::run_checkpointed(
                                           options_.journal_durability);
   }
 
-  ResumeReport report;
   report.executed = pending.size();
 
   // Fresh rows land in the journal as they complete (crash durability)

@@ -68,6 +68,10 @@ struct ResumeReport {
   std::size_t reused = 0;    ///< rows loaded from the journal
   std::size_t executed = 0;  ///< scenarios freshly simulated
   std::size_t failed = 0;    ///< rows (reused or fresh) with ok == false
+  /// The journal reader's note for each torn, malformed, unknown or
+  /// quarantined line (JournalContents::notes); their rows count as not
+  /// journalled, so those in the range were re-run.
+  std::vector<std::string> notes;
 };
 
 /// Fixed-pool batch executor for simulation scenarios.

@@ -71,7 +71,7 @@ struct SourceSpec {
 /// sim::SimConfig{}'s numerics -- or "rk23" -- the original engine and
 /// the reference numerics the error budget measures rk23pi against) plus
 /// numeric overrides, e.g.
-/// "rk23pi:rtol=1e-05,coast=false". Resolved by make_sim_config through
+/// "rk23pi:rtol=1e-05,seg=0.1". Resolved by make_sim_config through
 /// the integrator registry (sweep/registry.hpp).
 struct IntegratorSpec {
   std::string kind = "rk23pi";

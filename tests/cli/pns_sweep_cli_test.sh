@@ -55,10 +55,11 @@ grep -q "valid: exact, tabulated" err.txt || \
 "$BIN" list >list.txt 2>&1 || fail "list exited non-zero"
 for needle in "pns" "gov:ondemand" "static" "solar" "shadow" "trace" \
               "flicker" "period=<double>" "up_threshold=<double>" \
-              "rk23" "rk23pi" "coast=<bool>" "table2" "quick"; do
+              "rk23" "rk23pi" "seg=<double>" "table2" "quick"; do
   grep -q "$needle" list.txt || fail "list: '$needle' missing"
 done
 grep -q "rk23batch\|rk23simd" list.txt && fail "list: retired integrator listed"
+grep -q "coast=<\|coast_tol=<\|elide=<" list.txt && fail "list: retired rk23pi key listed"
 
 # --- control/source spec-string diagnostics name the valid choices
 if "$BIN" quick --control warp-speed >out.txt 2>err.txt; then
@@ -84,6 +85,15 @@ if "$BIN" quick --integrator rk23pi:warp=1 >out.txt 2>err.txt; then
   fail "unknown integrator param exited 0"
 fi
 grep -q "rtol" err.txt || fail "unknown integrator param: keys not listed"
+# coasting and tick elision are not switches any more: their retired
+# keys are unknown keys (exit 2, valid keys listed, nothing written)
+status=0
+"$BIN" quick --quiet --integrator rk23pi:coast=false --csv coast.csv \
+  >/dev/null 2>err.txt || status=$?
+[ "$status" -eq 2 ] || fail "rk23pi:coast=false: exit $status, expected 2"
+grep -q "unknown param 'coast'" err.txt || fail "rk23pi:coast=false: key not named"
+grep -q "max_step" err.txt || fail "rk23pi:coast=false: valid keys not listed"
+[ -e coast.csv ] && fail "rk23pi:coast=false wrote its CSV"
 "$BIN" quick --quiet --integrator rk23pi --csv pi.csv >/dev/null || \
   fail "rk23pi run failed"
 "$BIN" quick --quiet --integrator rk23pi --threads 4 --csv pi4.csv \
@@ -193,6 +203,25 @@ grep -q "missing" err.txt || fail "incomplete merge: no missing-shards message"
   fail "resume failed"
 grep -q "resumed from journal" resume_out.txt || fail "resume did not reuse journal rows"
 cmp -s ref.csv resumed.csv || fail "resumed CSV differs from single-run CSV"
+
+# --- a corrupt row and an unknown line kind are named on stderr (even
+# under --quiet) by resume and merge; their rows re-run, bytes unchanged
+"$BIN" quick --quiet --shard 0/2 --journal bad.jsonl >/dev/null || fail "partial run failed"
+sed '2s/"crc":"[0-9a-f]*"/"crc":"00000000"/' bad.jsonl > bad.tmp && mv bad.tmp bad.jsonl
+echo '{"kind":"bogus"}' >> bad.jsonl
+"$BIN" quick --quiet --resume --journal bad.jsonl --csv bad_resumed.csv \
+  >/dev/null 2>err.txt || fail "resume of a damaged journal failed"
+grep -q "bad.jsonl:2: checksum mismatch -- line quarantined" err.txt || \
+  fail "resume: quarantined line not named"
+grep -q "bad.jsonl:8: unknown line kind 'bogus' dropped" err.txt || \
+  fail "resume: unknown line kind not named"
+cmp -s ref.csv bad_resumed.csv || fail "resumed CSV of a damaged journal differs"
+"$BIN" merge --quiet --csv bad_merged.csv --json bad_merged.json bad.jsonl \
+  >/dev/null 2>err.txt || fail "merge of a healed journal failed"
+grep -q "bad.jsonl:2: checksum mismatch" err.txt || fail "merge: quarantined line not named"
+grep -q "bad.jsonl:8: unknown line kind" err.txt || fail "merge: unknown line kind not named"
+cmp -s ref.csv bad_merged.csv || fail "merged CSV of a healed journal differs"
+cmp -s ref.json bad_merged.json || fail "merged JSON of a healed journal differs"
 
 # --- a journal from different sweep parameters is refused
 "$BIN" quick --quiet --minutes 5 --resume --journal r.jsonl 2>err.txt && \

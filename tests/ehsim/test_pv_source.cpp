@@ -188,8 +188,8 @@ TEST(PvSource, ExactModeHasNoTable) {
 }
 
 // Solve accounting: every current() call lands on exactly one path, and
-// the counters say which. pns_bench_report and the repository benchmark
-// attribute PV time through them.
+// the counters say which. The repository benchmark's traced pass
+// attributes PV time through them (`ehsim.pv.*`).
 PvSource counted_source(PvSource::Mode mode) {
   const SolarCell cell(SolarCellParams{2e-9, 1.6, 0.3, 200.0, 1.15, 1000.0});
   auto irr = [](double t) { return t < 100.0 ? 800.0 : 30.0; };

@@ -300,6 +300,7 @@ TEST(JournalCrc, CorruptRowIsQuarantinedAndResumeHealsIt) {
   const auto report = runner_with(1).resume(specs, file.path(), "small");
   EXPECT_EQ(report.reused, full.size() - 1);
   EXPECT_EQ(report.executed, 1u);
+  EXPECT_EQ(report.notes, contents.notes);
   EXPECT_EQ(csv_of(report.rows), csv_of(full));
   EXPECT_EQ(json_of(report.rows), json_of(full));
 }
@@ -478,6 +479,20 @@ TEST(SweepRunnerResume, KilledMidAppendReRunsTheTornScenario) {
   EXPECT_EQ(report.reused, 2u);
   EXPECT_EQ(report.executed, specs.size() - 2);
   EXPECT_EQ(csv_of(report.rows), csv_of(full));
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find(":4: torn line dropped"), std::string::npos)
+      << report.notes[0];
+
+  // The first fresh row starts on its own line instead of being glued
+  // onto the fragment: the journal now holds every row, and the fragment
+  // stays one dropped line.
+  const JournalContents healed = read_journal(file.path());
+  EXPECT_EQ(healed.rows.size(), specs.size());
+  EXPECT_EQ(healed.dropped_lines, 1u);
+  EXPECT_EQ(healed.quarantined_lines, 0u);
+  const auto again = runner_with(1).resume(specs, file.path(), "small");
+  EXPECT_EQ(again.executed, 0u);
+  EXPECT_EQ(csv_of(again.rows), csv_of(full));
 }
 
 TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {

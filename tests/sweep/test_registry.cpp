@@ -106,7 +106,6 @@ void expect_numerics(const sim::SimConfig& got, const sim::SimConfig& want,
   EXPECT_EQ(got.step_control, want.step_control);
   EXPECT_EQ(got.event_localization, want.event_localization);
   EXPECT_EQ(got.coast, want.coast);
-  EXPECT_EQ(got.coast_dv_tol_v, want.coast_dv_tol_v);
   EXPECT_EQ(got.gov_tick_elide, want.gov_tick_elide);
 }
 
@@ -121,7 +120,6 @@ TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
   legacy.step_control = ehsim::StepControl::kClamped;
   legacy.event_localization = ehsim::EventLocalization::kBisection;
   legacy.coast = false;
-  legacy.coast_dv_tol_v = 1e-4;
   legacy.gov_tick_elide = false;
   auto spec = tiny_solar_spec();
   spec.integrator = IntegratorSpec::parse("rk23");
@@ -137,7 +135,6 @@ TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
   pi.step_control = ehsim::StepControl::kPi;
   pi.event_localization = ehsim::EventLocalization::kDenseRoot;
   pi.coast = true;
-  pi.coast_dv_tol_v = 1e-4;
   pi.gov_tick_elide = true;
   expect_numerics(sim::SimConfig{}, pi, "SimConfig{}");
   EXPECT_EQ(IntegratorSpec{}.kind, "rk23pi");
@@ -146,13 +143,13 @@ TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
   spec.integrator = IntegratorSpec::parse("rk23pi");
   expect_numerics(make_sim_config(spec), pi, "bare rk23pi");
 
-  spec.integrator = IntegratorSpec::parse(
-      "rk23pi:rtol=1e-05,seg=0.1,coast=false");
+  spec.integrator = IntegratorSpec::parse("rk23pi:rtol=1e-05,seg=0.1");
   const auto tuned = make_sim_config(spec);
   EXPECT_DOUBLE_EQ(tuned.rel_tol, 1e-5);
   EXPECT_DOUBLE_EQ(tuned.max_segment_s, 0.1);
   EXPECT_DOUBLE_EQ(tuned.max_ode_step_s, 0.1);
-  EXPECT_FALSE(tuned.coast);
+  EXPECT_TRUE(tuned.coast);
+  EXPECT_TRUE(tuned.gov_tick_elide);
 
   // The explicit "rk23" kind with numeric overrides tweaks tolerances
   // without flipping the engine.
@@ -179,6 +176,27 @@ TEST(Registry, RetiredIntegratorKindsAreUnknown) {
     }
   }
   EXPECT_THROW(IntegratorSpec::parse("rk23pi:width=4"), ParamError);
+}
+
+TEST(Registry, RetiredRk23PiKeysAreUnknown) {
+  // Coasting and tick elision are always on under rk23pi (off under
+  // rk23); their former switches fail like any unknown key, naming the
+  // valid ones.
+  for (const std::string key : {"coast=false", "coast_tol=1e-3",
+                                "elide=false"}) {
+    try {
+      IntegratorSpec::parse("rk23pi:" + key);
+      FAIL() << "expected ParamError for " << key;
+    } catch (const ParamError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown param '" + key.substr(0, key.find('=')) +
+                          "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rtol"), std::string::npos) << what;
+      EXPECT_NE(what.find("max_step"), std::string::npos) << what;
+    }
+  }
 }
 
 // ------------------------------------------------------------ diagnostics

@@ -127,7 +127,7 @@ void usage(const char* argv0) {
       "                1e-12, deterministic) or tabulated (interpolation\n"
       "                table with a measured error bound)\n"
       "  --integrator S  integration engine spec string: rk23pi\n"
-      "                [:rtol=...,seg=...,coast=...] (default; PI step\n"
+      "                [:rtol=...,seg=...,max_step=...] (default; PI step\n"
       "                control + dense events + coasting) or rk23 (the\n"
       "                legacy engine and reference numerics, ~6x\n"
       "                slower);\n"
@@ -234,6 +234,13 @@ bool write_outputs(const sweep::Aggregator& agg, const Options& opt) {
   return ok;
 }
 
+/// Prints the journal reader's per-line notes (torn, malformed, unknown
+/// or quarantined lines) to stderr -- even under --quiet, because each
+/// names a row that was lost and had to be re-run or is missing.
+void print_journal_notes(const std::vector<std::string>& notes) {
+  for (const auto& note : notes) std::fprintf(stderr, "%s\n", note.c_str());
+}
+
 /// Folds shard journals back into the canonical aggregate.
 int run_merge(const std::vector<std::string>& journals, const Options& opt) {
   if (journals.empty()) {
@@ -242,10 +249,12 @@ int run_merge(const std::vector<std::string>& journals, const Options& opt) {
   }
   try {
     sweep::JournalContents first = sweep::read_journal(journals[0]);
+    print_journal_notes(first.notes);
     std::map<std::size_t, sweep::SummaryRow> rows = std::move(first.rows);
     for (std::size_t i = 1; i < journals.size(); ++i) {
       sweep::JournalContents part =
           sweep::read_journal(journals[i], first.header);
+      print_journal_notes(part.notes);
       // insert (not assign): on an index collision the earlier journal
       // wins, but completed rows of a deterministic sweep are identical
       // anyway.
@@ -559,6 +568,7 @@ int main(int argc, char** argv) {
     } else {
       auto report = runner.run_checkpointed(specs, opt.journal_path,
                                             journal_name, range);
+      print_journal_notes(report.notes);
       rows = std::move(report.rows);
       reused = report.reused;
       executed = report.executed;
