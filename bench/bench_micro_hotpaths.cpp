@@ -116,8 +116,7 @@ void BM_Rk23SecondOfCircuit(benchmark::State& state) {
   opt.max_step = 0.01;
   for (auto _ : state) {
     ehsim::Rk23Integrator ig(circuit, opt);
-    const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, 5.2);
     benchmark::DoNotOptimize(ig.advance(1.0).steps_taken);
   }
 }
@@ -139,18 +138,15 @@ void BM_Rk23PiSecondOfCircuit(benchmark::State& state) {
   opt.event_localization = ehsim::EventLocalization::kDenseRoot;
   for (auto _ : state) {
     ehsim::Rk23Integrator ig(circuit, opt);
-    const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, 5.2);
     benchmark::DoNotOptimize(ig.advance(1.0).steps_taken);
   }
 }
 BENCHMARK(BM_Rk23PiSecondOfCircuit);
 
 // Event-path cost of one integrated second with a (never-firing) watch
-// level, in both event representations. The threshold form evaluates as a
-// subtract; the callback form pays the type-erased call.
-void bench_rk23_event_path(benchmark::State& state,
-                           const ehsim::EventSpec& ev) {
+// level: the threshold test is a subtract per accepted step.
+void BM_Rk23EventPathThreshold(benchmark::State& state) {
   const auto cell = sim::paper_pv_array();
   const ehsim::PvSource source(cell, [](double) { return 900.0; });
   const ehsim::ConstantPowerLoad load(3.5);
@@ -159,31 +155,15 @@ void bench_rk23_event_path(benchmark::State& state,
   ehsim::Rk23Options opt;
   opt.max_step = 0.01;
   ehsim::Rk23Integrator ig(circuit, opt);
+  const ehsim::EventSpec ev{1.0, ehsim::EventDirection::kFalling, 1};
   for (auto _ : state) {
-    const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, 5.2);
     benchmark::DoNotOptimize(
         ig.advance(1.0, std::span<const ehsim::EventSpec>(&ev, 1))
             .steps_taken);
   }
 }
-
-void BM_Rk23EventPathThreshold(benchmark::State& state) {
-  bench_rk23_event_path(state,
-                        ehsim::EventSpec::threshold(
-                            1.0, ehsim::EventDirection::kFalling, 1));
-}
 BENCHMARK(BM_Rk23EventPathThreshold);
-
-void BM_Rk23EventPathCallback(benchmark::State& state) {
-  bench_rk23_event_path(
-      state,
-      ehsim::EventSpec{[](double, std::span<const double> y) {
-                         return y[0] - 1.0;
-                       },
-                       ehsim::EventDirection::kFalling, 1});
-}
-BENCHMARK(BM_Rk23EventPathCallback);
 
 void BM_DenseOutputEventPath(benchmark::State& state) {
   // A *firing* threshold localised by the dense-output cubic root solve:
@@ -200,11 +180,9 @@ void BM_DenseOutputEventPath(benchmark::State& state) {
   opt.step_control = ehsim::StepControl::kPi;
   opt.event_localization = ehsim::EventLocalization::kDenseRoot;
   ehsim::Rk23Integrator ig(circuit, opt);
-  const auto ev =
-      ehsim::EventSpec::threshold(5.0, ehsim::EventDirection::kFalling, 1);
+  const ehsim::EventSpec ev{5.0, ehsim::EventDirection::kFalling, 1};
   for (auto _ : state) {
-    const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, 5.2);
     auto res = ig.advance(1.0, std::span<const ehsim::EventSpec>(&ev, 1));
     benchmark::DoNotOptimize(res.event_fired);
     res = ig.advance(1.0);

@@ -13,13 +13,10 @@ EhCircuit::EhCircuit(const CurrentSource& source, const Load& load,
   PNS_EXPECTS(cap_.capacitance > 0.0);
 }
 
-void EhCircuit::derivatives(double t, std::span<const double> y,
-                            std::span<double> dydt) const {
-  const double v = y[0];
-  double dv = net_current(v, t) / cap_.capacitance;
+double EhCircuit::derivative(double t, double v) const {
+  const double dv = net_current(v, t) / cap_.capacitance;
   // The node voltage cannot go negative: clamp the derivative at 0 V.
-  if (v <= 0.0 && dv < 0.0) dv = 0.0;
-  dydt[0] = dv;
+  return v <= 0.0 && dv < 0.0 ? 0.0 : dv;
 }
 
 double EhCircuit::net_current(double v, double t) const {

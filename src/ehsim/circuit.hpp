@@ -1,8 +1,10 @@
-// The storage-node circuit of Fig. 2/Fig. 8 as an ODE system.
+// The storage-node circuit of Fig. 2/Fig. 8 as a one-state ODE system.
 //
-// One state variable: the capacitor voltage VC.
+// Its single state is the capacitor voltage VC:
 //
 //   C * dVC/dt = I_source(VC, t) - I_load(VC, t) - VC / R_leak
+//
+// which EhCircuit::derivative evaluates for the RK23 integrator.
 //
 // The source and load are polymorphic (PV array / bench supply; SoC load),
 // so the same circuit serves the Simulink-style study (Section III), the
@@ -23,10 +25,9 @@ class EhCircuit : public OdeSystem {
   /// Both `source` and `load` are borrowed and must outlive the circuit.
   EhCircuit(const CurrentSource& source, const Load& load, Capacitor cap);
 
-  std::size_t dimension() const override { return 1; }
-
-  void derivatives(double t, std::span<const double> y,
-                   std::span<double> dydt) const override;
+  /// dVC/dt at node voltage v, time t (V/s), clamped at 0 V: the node
+  /// cannot discharge below ground.
+  double derivative(double t, double v) const override;
 
   const Capacitor& capacitor() const { return cap_; }
 

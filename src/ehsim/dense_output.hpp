@@ -2,7 +2,7 @@
 //
 // The RK23 integrator's continuous extension is the cubic Hermite
 // interpolant through the step's endpoint states and derivatives. For
-// event localisation the interesting question is "where does component 0
+// event localisation the interesting question is "where does the state
 // cross a level?" -- which for the Hermite form is a *polynomial root*,
 // not something that needs 60 rounds of bisection. This module expands
 // the Hermite basis into monomial coefficients once per accepted step and
@@ -17,7 +17,7 @@
 
 namespace pns::ehsim {
 
-/// One state component's dense output over an accepted step [t0, t0+h],
+/// The state's dense output over an accepted step [t0, t0+h],
 /// expanded to monomial form in the normalised coordinate s = (t-t0)/h:
 ///   y(s) = c0 + c1 s + c2 s^2 + c3 s^3,  s in [0, 1].
 struct HermiteCubic {

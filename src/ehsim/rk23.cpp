@@ -7,69 +7,32 @@
 #include "util/contracts.hpp"
 
 namespace pns::ehsim {
-namespace {
-
-double error_norm(std::span<const double> err, std::span<const double> y0,
-                  std::span<const double> y1, double rel_tol,
-                  double abs_tol) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < err.size(); ++i) {
-    const double scale =
-        abs_tol + rel_tol * std::max(std::abs(y0[i]), std::abs(y1[i]));
-    const double e = err[i] / scale;
-    acc += e * e;
-  }
-  return std::sqrt(acc / static_cast<double>(err.size()));
-}
-
-}  // namespace
 
 Rk23Integrator::Rk23Integrator(const OdeSystem& system, Rk23Options options)
     : system_(&system), opt_(options) {
   PNS_EXPECTS(opt_.rel_tol > 0.0);
   PNS_EXPECTS(opt_.abs_tol > 0.0);
   PNS_EXPECTS(opt_.max_step > 0.0);
-  const std::size_t n = system_->dimension();
-  PNS_EXPECTS(n >= 1);
-  y_.resize(n);
-  f0_.resize(n);
-  step_y0_.resize(n);
-  step_y1_.resize(n);
-  step_f0_.resize(n);
-  step_f1_.resize(n);
-  k1_.resize(n);
-  k2_.resize(n);
-  k3_.resize(n);
-  k4_.resize(n);
-  ytmp_.resize(n);
-  yerr_.resize(n);
-  ynew_.resize(n);
-  event_y_.resize(n);
 }
 
-void Rk23Integrator::reset(double t0, std::span<const double> y0) {
-  PNS_EXPECTS(y0.size() == y_.size());
+void Rk23Integrator::reset(double t0, double v0) {
   pi_.reset();
   t_ = t0;
-  std::copy(y0.begin(), y0.end(), y_.begin());
+  v_ = v0;
   have_f0_ = false;
   h_ = opt_.initial_step;
   step_t0_ = step_t1_ = t0;
-  std::copy(y0.begin(), y0.end(), step_y0_.begin());
-  std::copy(y0.begin(), y0.end(), step_y1_.begin());
+  step_v0_ = step_v1_ = v0;
 }
 
 double Rk23Integrator::initial_step_guess(double t_end) const {
-  // Tolerance-scaled norms of state and derivative (SciPy-style h0): the
+  // Tolerance-scaled size of state and derivative (SciPy-style h0): the
   // first step should change the scaled state by about 1 %. Starting small
   // also avoids landing on isolated zeros of the embedded error estimator
   // (for y' = lambda*y the BS23 estimator vanishes at h*lambda = -1).
-  double d0 = 0.0, d1 = 0.0;
-  for (std::size_t i = 0; i < y_.size(); ++i) {
-    const double scale = opt_.abs_tol + opt_.rel_tol * std::abs(y_[i]);
-    d0 = std::max(d0, std::abs(y_[i]) / scale);
-    d1 = std::max(d1, std::abs(f0_[i]) / scale);
-  }
+  const double scale = opt_.abs_tol + opt_.rel_tol * std::abs(v_);
+  const double d0 = std::abs(v_) / scale;
+  const double d1 = std::abs(f0_) / scale;
   double h = (d0 >= 1e-5 && d1 >= 1e-5) ? 0.01 * d0 / d1 : 1e-6;
   h = std::clamp(h, opt_.min_step * 10.0, opt_.max_step);
   return std::min(h, std::max(t_end - t_, opt_.min_step));
@@ -77,23 +40,26 @@ double Rk23Integrator::initial_step_guess(double t_end) const {
 
 IntegrationResult Rk23Integrator::advance(double t_end,
                                           std::span<const EventSpec> events) {
+  PNS_EXPECTS(events.size() <= kMaxEvents);
   IntegrationResult result;
   result.t = t_;
   if (t_end <= t_) return result;
 
-  if (g_prev_.size() < events.size()) {
-    g_prev_.resize(events.size());
-    g_curr_.resize(events.size());
+  // Threshold levels in locals: the loop calls the system virtually, after
+  // which anything behind the span would have to be re-read.
+  const std::size_t n_events = events.size();
+  double level[kMaxEvents];
+  EventDirection direction[kMaxEvents];
+  for (std::size_t e = 0; e < n_events; ++e) {
+    level[e] = events[e].level;
+    direction[e] = events[e].direction;
   }
 
   if (!have_f0_) {
-    system_->derivatives(t_, y_, std::span<double>(f0_));
+    f0_ = system_->derivative(t_, v_);
     have_f0_ = true;
   }
   if (h_ <= 0.0) h_ = initial_step_guess(t_end);
-
-  for (std::size_t e = 0; e < events.size(); ++e)
-    g_prev_[e] = events[e].eval(t_, y_);
 
   std::size_t steps_this_call = 0;
   while (t_ < t_end) {
@@ -108,30 +74,21 @@ IntegrationResult Rk23Integrator::advance(double t_end,
 
     // Bogacki-Shampine tableau. k1 is the FSAL derivative from the
     // previous step (f0_).
-    std::copy(f0_.begin(), f0_.end(), k1_.begin());
+    const double y = v_;
+    const double k1 = f0_;
+    const double k2 = system_->derivative(t_ + 0.5 * h, y + h * 0.5 * k1);
+    const double k3 = system_->derivative(t_ + 0.75 * h, y + h * 0.75 * k2);
+    const double ynew =
+        y + h * (2.0 / 9.0 * k1 + 1.0 / 3.0 * k2 + 4.0 / 9.0 * k3);
+    const double k4 = system_->derivative(t_ + h, ynew);
 
-    for (std::size_t i = 0; i < y_.size(); ++i)
-      ytmp_[i] = y_[i] + h * 0.5 * k1_[i];
-    system_->derivatives(t_ + 0.5 * h, ytmp_, std::span<double>(k2_));
-
-    for (std::size_t i = 0; i < y_.size(); ++i)
-      ytmp_[i] = y_[i] + h * 0.75 * k2_[i];
-    system_->derivatives(t_ + 0.75 * h, ytmp_, std::span<double>(k3_));
-
-    for (std::size_t i = 0; i < y_.size(); ++i)
-      ynew_[i] = y_[i] + h * (2.0 / 9.0 * k1_[i] + 1.0 / 3.0 * k2_[i] +
-                              4.0 / 9.0 * k3_[i]);
-    system_->derivatives(t_ + h, ynew_, std::span<double>(k4_));
-
-    // Embedded 2nd-order error estimate.
-    for (std::size_t i = 0; i < y_.size(); ++i) {
-      const double z = y_[i] + h * (7.0 / 24.0 * k1_[i] + 0.25 * k2_[i] +
-                                    1.0 / 3.0 * k3_[i] + 0.125 * k4_[i]);
-      yerr_[i] = ynew_[i] - z;
-    }
-
-    const double err =
-        error_norm(yerr_, y_, ynew_, opt_.rel_tol, opt_.abs_tol);
+    // Embedded 2nd-order error estimate, scaled by the tolerance.
+    const double z = y + h * (7.0 / 24.0 * k1 + 0.25 * k2 + 1.0 / 3.0 * k3 +
+                              0.125 * k4);
+    const double scale =
+        opt_.abs_tol + opt_.rel_tol * std::max(std::abs(y), std::abs(ynew));
+    const double e = (ynew - z) / scale;
+    const double err = std::sqrt(e * e);
 
     if (err > 1.0 && h > opt_.min_step) {
       ++total_rejected_;
@@ -145,14 +102,14 @@ IntegrationResult Rk23Integrator::advance(double t_end,
     // Accept the step.
     step_t0_ = t_;
     step_t1_ = t_ + h;
-    std::copy(y_.begin(), y_.end(), step_y0_.begin());
-    std::copy(ynew_.begin(), ynew_.end(), step_y1_.begin());
-    std::copy(k1_.begin(), k1_.end(), step_f0_.begin());
-    std::copy(k4_.begin(), k4_.end(), step_f1_.begin());
+    step_v0_ = y;
+    step_v1_ = ynew;
+    step_f0_ = k1;
+    step_f1_ = k4;
 
     t_ = step_t1_;
-    std::copy(ynew_.begin(), ynew_.end(), y_.begin());
-    std::copy(k4_.begin(), k4_.end(), f0_.begin());  // FSAL
+    v_ = ynew;
+    f0_ = k4;  // FSAL
     ++total_steps_;
     ++result.steps_taken;
 
@@ -175,29 +132,27 @@ IntegrationResult Rk23Integrator::advance(double t_end,
 
     // --- event detection over the accepted step ------------------------
     double earliest_t = step_t1_;
-    int earliest_tag = 0;
     std::size_t earliest_event = 0;
     bool earliest_dense = false;
     bool fired = false;
-    // Dense-output cubic of component 0, built on demand once per step
-    // (threshold events in kDenseRoot mode all localise against it).
+    // Dense-output cubic, built on demand once per step (every event in
+    // kDenseRoot mode localises against it).
     HermiteCubic cubic;
     bool have_cubic = false;
-    for (std::size_t e = 0; e < events.size(); ++e) {
-      g_curr_[e] = events[e].eval(t_, y_);
-      if (!event_direction_matches(events[e].direction, g_prev_[e], g_curr_[e]))
+    for (std::size_t e = 0; e < n_events; ++e) {
+      const double g_prev = y - level[e];
+      if (!event_direction_matches(direction[e], g_prev, ynew - level[e]))
         continue;
       double root_t = step_t1_;
       bool localised = false;
       if (opt_.event_localization == EventLocalization::kDenseRoot &&
-          events[e].is_threshold() && h > 0.0) {
+          h > 0.0) {
         if (!have_cubic) {
-          cubic = HermiteCubic::from_step(h, step_y0_[0], step_y1_[0],
-                                          step_f0_[0], step_f1_[0]);
+          cubic = HermiteCubic::from_step(h, y, ynew, k1, k4);
           have_cubic = true;
         }
         const CrossingResult cr = earliest_crossing(
-            cubic, events[e].level, events[e].direction, opt_.event_tol / h);
+            cubic, level[e], direction[e], opt_.event_tol / h);
         if (cr.found) {
           root_t = step_t0_ + cr.s * h;
           localised = true;
@@ -206,13 +161,11 @@ IntegrationResult Rk23Integrator::advance(double t_end,
       if (!localised) {
         // Bisect for the root inside [step_t0_, step_t1_].
         double lo = step_t0_, hi = step_t1_;
-        double g_lo = g_prev_[e];
+        double g_lo = g_prev;
         for (int it = 0; it < 64 && (hi - lo) > opt_.event_tol; ++it) {
           const double mid = 0.5 * (lo + hi);
-          const double g_mid = event_value(events[e], mid);
-          const bool crossed =
-              event_direction_matches(events[e].direction, g_lo, g_mid);
-          if (crossed) {
+          const double g_mid = interpolate(mid) - level[e];
+          if (event_direction_matches(direction[e], g_lo, g_mid)) {
             hi = mid;
           } else {
             lo = mid;
@@ -223,7 +176,6 @@ IntegrationResult Rk23Integrator::advance(double t_end,
       }
       if (!fired || root_t < earliest_t) {
         earliest_t = root_t;
-        earliest_tag = events[e].tag;
         earliest_event = e;
         earliest_dense = localised;
         fired = true;
@@ -232,9 +184,8 @@ IntegrationResult Rk23Integrator::advance(double t_end,
 
     if (fired) {
       // Rewind the trajectory to the event time.
-      interpolate(earliest_t, std::span<double>(ytmp_));
+      v_ = interpolate(earliest_t);
       t_ = earliest_t;
-      std::copy(ytmp_.begin(), ytmp_.end(), y_.begin());
       have_f0_ = false;  // state changed off the step grid
       // A dense-output root sits on the crossed side of the *cubic*, but
       // mapping s -> t -> s through interpolate() can land the committed
@@ -242,56 +193,44 @@ IntegrationResult Rk23Integrator::advance(double t_end,
       // re-arms the same event on the un-crossed baseline and fires it at
       // the same instant forever (the crossing now sits at s = 0, where
       // t0 + s*h rounds back to t0 and the trajectory never advances).
-      // Snap component 0 onto the threshold -- within the event tolerance
+      // Snap the state onto the threshold -- within the event tolerance
       // by construction, and a no-op whenever the round-trip already
       // landed on the crossed side. Bisection roots are evaluated through
       // interpolate() itself and cannot undershoot, so the original rk23
       // path is untouched bit for bit.
       if (earliest_dense) {
-        const EventSpec& ev = events[earliest_event];
-        const double g = y_[0] - ev.level;
+        const double lv = level[earliest_event];
+        const EventDirection dir = direction[earliest_event];
+        const double g = v_ - lv;
         const bool undershot =
-            (ev.direction == EventDirection::kRising && g < 0.0) ||
-            (ev.direction == EventDirection::kFalling && g > 0.0) ||
-            (ev.direction == EventDirection::kAny && g != 0.0 &&
-             (g < 0.0) == (g_prev_[earliest_event] < 0.0));
-        if (undershot) y_[0] = ev.level;
+            (dir == EventDirection::kRising && g < 0.0) ||
+            (dir == EventDirection::kFalling && g > 0.0) ||
+            (dir == EventDirection::kAny && g != 0.0 &&
+             (g < 0.0) == (y - lv < 0.0));
+        if (undershot) v_ = lv;
       }
       result.t = t_;
       result.event_fired = true;
-      result.event_tag = earliest_tag;
+      result.event_tag = events[earliest_event].tag;
       return result;
     }
-
-    std::swap(g_prev_, g_curr_);
   }
 
   result.t = t_;
   return result;
 }
 
-void Rk23Integrator::interpolate(double t, std::span<double> y_out) const {
-  for (std::size_t i = 0; i < y_out.size(); ++i)
-    y_out[i] = interpolate_one(t, i);
-}
-
-double Rk23Integrator::interpolate_one(double t, std::size_t i) const {
+double Rk23Integrator::interpolate(double t) const {
   const double h = step_t1_ - step_t0_;
-  if (h <= 0.0) return step_y1_[i];
+  if (h <= 0.0) return step_v1_;
   const double s = std::clamp((t - step_t0_) / h, 0.0, 1.0);
   const double s2 = s * s, s3 = s2 * s;
   const double h00 = 2 * s3 - 3 * s2 + 1;
   const double h10 = s3 - 2 * s2 + s;
   const double h01 = -2 * s3 + 3 * s2;
   const double h11 = s3 - s2;
-  return h00 * step_y0_[i] + h * h10 * step_f0_[i] + h01 * step_y1_[i] +
-         h * h11 * step_f1_[i];
-}
-
-double Rk23Integrator::event_value(const EventSpec& ev, double t) {
-  if (ev.is_threshold()) return interpolate_one(t, 0) - ev.level;
-  interpolate(t, std::span<double>(event_y_));
-  return ev.eval(t, event_y_);
+  return h00 * step_v0_ + h * h10 * step_f0_ + h01 * step_v1_ +
+         h * h11 * step_f1_;
 }
 
 }  // namespace pns::ehsim

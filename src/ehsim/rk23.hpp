@@ -1,16 +1,17 @@
-// Adaptive Bogacki-Shampine RK2(3) integrator with event localisation.
+// Adaptive Bogacki-Shampine RK2(3) integrator for the one-state storage
+// node, with threshold-event localisation.
 //
 // This is the method behind Matlab's ODE23, which the paper uses for its
 // Simulink parameter-selection study (Section III). The embedded 2nd-order
 // solution provides the error estimate; the 3rd-order solution propagates.
 // FSAL (first-same-as-last) gives 3 derivative evaluations per accepted
 // step. Dense output is cubic Hermite over the accepted step, which is
-// enough to localise threshold/brownout events to ~1 us.
+// enough to localise threshold/brownout events to ~1 us. The state is a
+// single double (VC), so the integrator keeps no work arrays.
 #pragma once
 
-#include <optional>
+#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "ehsim/ode.hpp"
 #include "ehsim/stepper_pi.hpp"
@@ -32,8 +33,8 @@ enum class StepControl {
 enum class EventLocalization {
   /// Bisection on the Hermite dense output (the original scheme).
   kBisection,
-  /// Direct root solve on the dense-output cubic (ehsim/dense_output.hpp)
-  /// for data-only threshold events; callback events still bisect.
+  /// Direct root solve on the dense-output cubic (ehsim/dense_output.hpp),
+  /// falling back to bisection when the cubic finds no root.
   kDenseRoot,
 };
 
@@ -50,10 +51,10 @@ struct Rk23Options {
   EventLocalization event_localization = EventLocalization::kBisection;
 };
 
-/// Single-trajectory adaptive integrator. Typical use:
+/// Single-trajectory adaptive integrator of v' = f(t, v). Typical use:
 ///
 ///   Rk23Integrator ig(system, opts);
-///   ig.reset(0.0, y0);
+///   ig.reset(0.0, v0);
 ///   auto res = ig.advance(t_end, events);
 ///   if (res.event_fired) { ...handle, maybe mutate system..., }
 ///   res = ig.advance(t_end, events);   // continues from the event time
@@ -63,16 +64,21 @@ struct Rk23Options {
 /// call advance() again -- the integrator restarts cleanly (no stale FSAL).
 class Rk23Integrator {
  public:
+  /// Most events one advance() call watches (the engine's brownout + LOW +
+  /// HIGH trip set).
+  static constexpr std::size_t kMaxEvents = 3;
+
   Rk23Integrator(const OdeSystem& system, Rk23Options options = {});
 
   /// Sets the current time and state, discarding integration history.
-  void reset(double t0, std::span<const double> y0);
+  void reset(double t0, double v0);
 
   double time() const { return t_; }
-  std::span<const double> state() const { return y_; }
+  double state() const { return v_; }
 
   /// Integrates forward until `t_end` or until the first event root,
-  /// whichever comes first. Events are tested on every accepted step.
+  /// whichever comes first. Events are tested on every accepted step;
+  /// at most kMaxEvents of them.
   IntegrationResult advance(double t_end,
                             std::span<const EventSpec> events = {});
 
@@ -92,16 +98,8 @@ class Rk23Integrator {
   std::size_t total_rejected() const { return total_rejected_; }
 
  private:
-  /// Cubic Hermite interpolation inside the last accepted step.
-  void interpolate(double t, std::span<double> y_out) const;
-
-  /// Cubic Hermite interpolation of a single state component.
-  double interpolate_one(double t, std::size_t i) const;
-
-  /// Evaluates event g at (t, y interpolated inside last step). Threshold
-  /// events interpolate only y[0]; general events use the event_y_ scratch
-  /// buffer (hence non-const).
-  double event_value(const EventSpec& ev, double t);
+  /// Cubic Hermite interpolation of v inside the last accepted step.
+  double interpolate(double t) const;
 
   double initial_step_guess(double t_end) const;
 
@@ -109,20 +107,13 @@ class Rk23Integrator {
   Rk23Options opt_;
 
   double t_ = 0.0;
-  std::vector<double> y_;
-  std::vector<double> f0_;  // derivative at (t_, y_) -- FSAL cache
+  double v_ = 0.0;
+  double f0_ = 0.0;  // derivative at (t_, v_) -- FSAL cache
   bool have_f0_ = false;
 
-  // Last accepted step (for dense output / event bisection).
+  // Last accepted step (for dense output / event localisation).
   double step_t0_ = 0.0, step_t1_ = 0.0;
-  std::vector<double> step_y0_, step_y1_, step_f0_, step_f1_;
-
-  // Work arrays. advance() is allocation-free in steady state: the event
-  // buffers below grow once to the largest event count seen and are then
-  // reused across calls.
-  std::vector<double> k1_, k2_, k3_, k4_, ytmp_, yerr_, ynew_;
-  std::vector<double> g_prev_, g_curr_;  // event values across a step
-  std::vector<double> event_y_;          // scratch for general-event eval
+  double step_v0_ = 0.0, step_v1_ = 0.0, step_f0_ = 0.0, step_f1_ = 0.0;
 
   double h_ = 0.0;  // current step size
   PiStepController pi_;  // used only in StepControl::kPi

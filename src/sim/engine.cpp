@@ -115,7 +115,7 @@ SimEngine::SimEngine(const soc::Platform& platform,
     monitor_.emplace(cfg_.monitor_network);
     controller_.emplace(platform, *monitor_, *controller_config);
   }
-  events_.reserve(3);  // brownout + low + high is the largest watch set
+  events_.reserve(ehsim::Rk23Integrator::kMaxEvents);
 }
 
 double SimEngine::load_power(double v) const {
@@ -186,18 +186,17 @@ void SimEngine::refresh_events() {
 
   events_.clear();
   if (!key.off) {
-    events_.push_back(ehsim::EventSpec::threshold(
-        platform_->v_min, ehsim::EventDirection::kFalling, kTagBrownout));
+    events_.push_back(
+        {platform_->v_min, ehsim::EventDirection::kFalling, kTagBrownout});
     if (key.watch_low)
-      events_.push_back(ehsim::EventSpec::threshold(
-          key.low_trip, ehsim::EventDirection::kFalling, kTagLow));
+      events_.push_back(
+          {key.low_trip, ehsim::EventDirection::kFalling, kTagLow});
     if (key.watch_high)
-      events_.push_back(ehsim::EventSpec::threshold(
-          key.high_trip, ehsim::EventDirection::kRising, kTagHigh));
+      events_.push_back(
+          {key.high_trip, ehsim::EventDirection::kRising, kTagHigh});
   } else if (cfg_.enable_reboot) {
-    events_.push_back(ehsim::EventSpec::threshold(
-        platform_->v_min + cfg_.reboot_margin_v,
-        ehsim::EventDirection::kRising, kTagRecover));
+    events_.push_back({platform_->v_min + cfg_.reboot_margin_v,
+                       ehsim::EventDirection::kRising, kTagRecover});
   }
 }
 
@@ -224,12 +223,7 @@ bool SimEngine::try_coast(double t, double vc, double next_gov_tick,
   if (span <= 2.0 * cfg_.max_segment_s) return false;
 
   const double tol = kCoastDvTolV;
-  auto dvdt = [&](double v) {
-    double d = 0.0;
-    circuit_.derivatives(t, std::span<const double>(&v, 1),
-                         std::span<double>(&d, 1));
-    return d;
-  };
+  auto dvdt = [&](double v) { return circuit_.derivative(t, v); };
   // Quiescence: the drift at vc stays within the tolerance over the whole
   // span, and the flow at vc +/- tol points inward (or is equally tiny).
   // The inward check distinguishes a *stable* equilibrium -- where a
@@ -241,10 +235,8 @@ bool SimEngine::try_coast(double t, double vc, double next_gov_tick,
   if (dvdt(vc + tol) * span > tol) return false;
   if (dvdt(vc - tol) * span < -tol) return false;
   // Every watched threshold must be out of reach of the bounded drift.
-  for (const auto& ev : events_) {
-    if (!ev.is_threshold()) return false;  // can't bound a callback event
+  for (const auto& ev : events_)
     if (std::abs(vc - ev.level) <= 2.0 * tol) return false;
-  }
   // So must the comparator channels' *unwatched* trip levels: hysteresis
   // re-arm crossings are caught by the quiet-stop monitor sync, which a
   // coast jump would postpone by the whole span if VC drifted across one.
@@ -257,7 +249,7 @@ bool SimEngine::try_coast(double t, double vc, double next_gov_tick,
   }
 
   const double v_new = vc + f * span;
-  integrator_.reset(horizon, std::span<const double>(&v_new, 1));
+  integrator_.reset(horizon, v_new);
   out = {};
   out.t = horizon;
   return true;
@@ -323,7 +315,7 @@ SimResult SimEngine::run() {
     kick_if_outside(vc, t);
   }
 
-  integrator_.reset(t, std::span<const double>(&vc, 1));
+  integrator_.reset(t, vc);
 
   double next_gov_tick =
       governor_ ? t + governor_->sampling_period()
@@ -372,7 +364,7 @@ SimResult SimEngine::run() {
     if (!cfg_.coast || !try_coast(t, vc, gov_stop, res))
       res = integrator_.advance(t_stop, events_);
     t = res.t;
-    vc = integrator_.state()[0];
+    vc = integrator_.state();
 
     // --- segment accounting ---------------------------------------------
     p_harv = source_->current(vc, t) * vc;

@@ -287,12 +287,23 @@ JournalContents read_journal(const std::string& path) {
                                  "' dropped");
         continue;
       }
+      // A row outside the sweep cannot belong to it; folding it in would
+      // let it stand in for a missing row when rows are counted.
+      const auto index = static_cast<std::size_t>(doc.at("i").as_uint64());
+      if (index >= contents.header.total) {
+        ++contents.dropped_lines;
+        contents.notes.push_back(
+            path + ":" + std::to_string(lineno) + ": row index " +
+            std::to_string(index) + " outside the sweep's " +
+            std::to_string(contents.header.total) +
+            " scenarios -- line dropped");
+        continue;
+      }
       // Later duplicates of an index win; a row appended twice is
       // identical anyway (deterministic simulation). A "wall_s" member
       // written by older builds is ignored.
-      contents.rows.insert_or_assign(
-          static_cast<std::size_t>(doc.at("i").as_uint64()),
-          summary_row_from_json(doc.at("row")));
+      contents.rows.insert_or_assign(index,
+                                     summary_row_from_json(doc.at("row")));
     } catch (const JsonError& e) {
       if (!header_seen)
         throw JournalError(path + ": malformed journal header (" +

@@ -145,8 +145,9 @@ class JournalWriter {
   bool maybe_torn_ = false;
 };
 
-/// Reads a journal back. Torn or unparseable lines are dropped and
-/// counted; lines whose CRC-32 check fails are quarantined (counted
+/// Reads a journal back. Torn or unparseable lines, and row lines whose
+/// index is not below the header's `total`, are dropped and counted;
+/// lines whose CRC-32 check fails are quarantined (counted
 /// separately, rows not folded in) -- both leave a per-line note in
 /// `notes`. Later duplicates of an index win, so a row appended twice
 /// (e.g. two resumes racing) stays consistent. Throws JournalError when

@@ -223,6 +223,30 @@ grep -q "bad.jsonl:8: unknown line kind" err.txt || fail "merge: unknown line ki
 cmp -s ref.csv bad_merged.csv || fail "merged CSV of a healed journal differs"
 cmp -s ref.json bad_merged.json || fail "merged JSON of a healed journal differs"
 
+# --- a row line whose index lies outside the sweep is dropped with a
+# note: a journal missing row 3 that carries a copy of row 5 as row 99
+# (no checksum, as in a pre-checksum journal) is incomplete, so merge
+# exits 1 without writing and resume re-runs scenario 3
+"$BIN" quick --quiet --threads 1 --journal forged.jsonl >/dev/null || \
+  fail "journalled quick run failed"
+sed -n '7p' forged.jsonl | \
+  sed -e 's/,"crc":"[0-9a-f]*"}$/}/' -e 's/"i":5,/"i":99,/' > stray.txt
+grep -q '"i":99,' stray.txt || fail "forged row line not built"
+sed '5d' forged.jsonl > forged.tmp && cat stray.txt >> forged.tmp && \
+  mv forged.tmp forged.jsonl
+if "$BIN" merge --quiet --csv forged.csv forged.jsonl >/dev/null 2>err.txt; then
+  fail "merge of a journal with an out-of-range row exited 0"
+fi
+grep -q "forged.jsonl:13: row index 99 outside the sweep's 12 scenarios -- line dropped" \
+  err.txt || fail "merge: out-of-range row line not named"
+grep -q "cover 11 of 12" err.txt || fail "merge: out-of-range row counted"
+[ -e forged.csv ] && fail "merge of an incomplete journal wrote a CSV"
+"$BIN" quick --quiet --resume --journal forged.jsonl --csv forged_resumed.csv \
+  >/dev/null 2>err.txt || fail "resume of a journal with an out-of-range row failed"
+grep -q "forged.jsonl:13: row index 99 outside" err.txt || \
+  fail "resume: out-of-range row line not named"
+cmp -s ref.csv forged_resumed.csv || fail "resumed CSV of a forged journal differs"
+
 # --- a journal from different sweep parameters is refused
 "$BIN" quick --quiet --minutes 5 --resume --journal r.jsonl 2>err.txt && \
   fail "journal reused across differing --minutes"

@@ -102,10 +102,9 @@ TEST(EhCircuit, RcDischargeMatchesAnalytic) {
   opt.rel_tol = 1e-9;
   opt.abs_tol = 1e-12;
   Rk23Integrator ig(circuit, opt);
-  const double v0 = 5.0;
-  ig.reset(0.0, std::span<const double>(&v0, 1));
+  ig.reset(0.0, 5.0);
   ig.advance(1.0);
-  EXPECT_NEAR(ig.state()[0], 5.0 * std::exp(-1.0), 1e-6);
+  EXPECT_NEAR(ig.state(), 5.0 * std::exp(-1.0), 1e-6);
 }
 
 TEST(EhCircuit, ConstantCurrentChargesLinearly) {
@@ -115,11 +114,10 @@ TEST(EhCircuit, ConstantCurrentChargesLinearly) {
                                          .esr = 0.0,
                                          .leakage_resistance = 1e12});
   Rk23Integrator ig(circuit);
-  const double v0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&v0, 1));
+  ig.reset(0.0, 1.0);
   ig.advance(2.0);
   // dv/dt = I/C = 2 V/s -> v(2) = 5 V
-  EXPECT_NEAR(ig.state()[0], 5.0, 1e-5);
+  EXPECT_NEAR(ig.state(), 5.0, 1e-5);
 }
 
 TEST(EhCircuit, NodeVoltageCannotGoNegative) {
@@ -131,10 +129,9 @@ TEST(EhCircuit, NodeVoltageCannotGoNegative) {
   Rk23Options opt;
   opt.max_step = 1e-3;
   Rk23Integrator ig(circuit, opt);
-  const double v0 = 0.5;
-  ig.reset(0.0, std::span<const double>(&v0, 1));
+  ig.reset(0.0, 0.5);
   ig.advance(5.0);
-  EXPECT_GE(ig.state()[0], -1e-6);
+  EXPECT_GE(ig.state(), -1e-6);
 }
 
 TEST(EhCircuit, EquilibriumFoundByBisection) {
@@ -157,10 +154,9 @@ TEST(EhCircuit, LeakageDischargesIdleNode) {
   opt.rel_tol = 1e-9;
   opt.abs_tol = 1e-12;
   Rk23Integrator ig(circuit, opt);
-  const double v0 = 5.0;
-  ig.reset(0.0, std::span<const double>(&v0, 1));
+  ig.reset(0.0, 5.0);
   ig.advance(1.0);  // tau = R*C = 1 s
-  EXPECT_NEAR(ig.state()[0], 5.0 * std::exp(-1.0), 1e-5);
+  EXPECT_NEAR(ig.state(), 5.0 * std::exp(-1.0), 1e-5);
 }
 
 TEST(EhCircuit, PvSourceDrivesNodeTowardsOpenCircuit) {
@@ -173,10 +169,9 @@ TEST(EhCircuit, PvSourceDrivesNodeTowardsOpenCircuit) {
   Rk23Options opt;
   opt.max_step = 0.01;
   Rk23Integrator ig(circuit, opt);
-  const double v0 = 4.5;
-  ig.reset(0.0, std::span<const double>(&v0, 1));
+  ig.reset(0.0, 4.5);
   ig.advance(30.0);
-  EXPECT_NEAR(ig.state()[0], cell.open_circuit_voltage(1000.0), 0.02);
+  EXPECT_NEAR(ig.state(), cell.open_circuit_voltage(1000.0), 0.02);
 }
 
 TEST(PvSource, AvailablePowerIsMpp) {

@@ -1,8 +1,8 @@
-// Tests for the ODE integrator (ehsim/rk23): accuracy and tolerance
-// control on analytic systems, event localisation (bisection and
-// dense-output root), the PI step controller, and parity of its two
-// configurations against a tight-tolerance reference on the paper's
-// storage-node circuit.
+// Tests for the one-state ODE integrator (ehsim/rk23): accuracy and
+// tolerance control on analytic systems, threshold-event localisation
+// (bisection and dense-output root), the PI step controller, and parity
+// of its two configurations against a tight-tolerance reference on the
+// paper's storage-node circuit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +16,7 @@
 #include "ehsim/sources.hpp"
 #include "ehsim/stepper_pi.hpp"
 #include "sim/experiment.hpp"
+#include "util/contracts.hpp"
 
 namespace pns::ehsim {
 namespace {
@@ -24,29 +25,24 @@ namespace {
 class ExpDecay : public OdeSystem {
  public:
   explicit ExpDecay(double k) : k_(k) {}
-  std::size_t dimension() const override { return 1; }
-  void derivatives(double, std::span<const double> y,
-                   std::span<double> dydt) const override {
-    dydt[0] = -k_ * y[0];
-  }
+  double derivative(double, double y) const override { return -k_ * y; }
 
  private:
   double k_;
 };
 
-/// Harmonic oscillator: y'' = -w^2 y as a 2-state system.
-class Oscillator : public OdeSystem {
+/// Periodic forcing: y' = 2 pi cos(2 pi t), y(0) = 0 -> y(t) = sin(2 pi t).
+class ForcedPeriodic : public OdeSystem {
  public:
-  explicit Oscillator(double w) : w_(w) {}
-  std::size_t dimension() const override { return 2; }
-  void derivatives(double, std::span<const double> y,
-                   std::span<double> dydt) const override {
-    dydt[0] = y[1];
-    dydt[1] = -w_ * w_ * y[0];
+  double derivative(double t, double) const override {
+    return 2.0 * std::numbers::pi * std::cos(2.0 * std::numbers::pi * t);
   }
+};
 
- private:
-  double w_;
+/// y' = -1: integrated exactly by RK23 (zero error estimate).
+class Ramp : public OdeSystem {
+ public:
+  double derivative(double, double) const override { return -1.0; }
 };
 
 TEST(Rk23, AccurateOnExpDecay) {
@@ -55,25 +51,22 @@ TEST(Rk23, AccurateOnExpDecay) {
   opt.rel_tol = 1e-8;
   opt.abs_tol = 1e-10;
   Rk23Integrator ig(sys, opt);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
+  ig.reset(0.0, 1.0);
   const auto res = ig.advance(2.0);
   EXPECT_FALSE(res.event_fired);
   EXPECT_DOUBLE_EQ(ig.time(), 2.0);
-  EXPECT_NEAR(ig.state()[0], std::exp(-4.0), 1e-7);
+  EXPECT_NEAR(ig.state(), std::exp(-4.0), 1e-7);
 }
 
-TEST(Rk23, EnergyPreservedOnOscillator) {
-  Oscillator sys(2.0 * std::numbers::pi);  // 1 Hz
+TEST(Rk23, ReturnsToZeroAfterFivePeriodsOfForcing) {
+  ForcedPeriodic sys;  // 1 Hz
   Rk23Options opt;
   opt.rel_tol = 1e-9;
   opt.abs_tol = 1e-12;
   Rk23Integrator ig(sys, opt);
-  const std::vector<double> y0{1.0, 0.0};
-  ig.reset(0.0, y0);
+  ig.reset(0.0, 0.0);
   ig.advance(5.0);  // 5 full periods
-  EXPECT_NEAR(ig.state()[0], 1.0, 1e-5);
-  EXPECT_NEAR(ig.state()[1], 0.0, 1e-4);
+  EXPECT_LT(std::abs(ig.state()), 1e-5);
 }
 
 TEST(Rk23, ToleranceControlsError) {
@@ -83,10 +76,9 @@ TEST(Rk23, ToleranceControlsError) {
     opt.rel_tol = rtol;
     opt.abs_tol = rtol * 1e-3;
     Rk23Integrator ig(sys, opt);
-    const double y0 = 1.0;
-    ig.reset(0.0, std::span<const double>(&y0, 1));
+    ig.reset(0.0, 1.0);
     ig.advance(1.0);
-    return std::abs(ig.state()[0] - std::exp(-1.0));
+    return std::abs(ig.state() - std::exp(-1.0));
   };
   EXPECT_LT(run(1e-9), run(1e-4));
   EXPECT_LT(run(1e-4), 1e-3);
@@ -99,8 +91,7 @@ TEST(Rk23, LooserToleranceTakesFewerSteps) {
     opt.rel_tol = rtol;
     opt.abs_tol = 1e-12;
     Rk23Integrator ig(sys, opt);
-    const double y0 = 1.0;
-    ig.reset(0.0, std::span<const double>(&y0, 1));
+    ig.reset(0.0, 1.0);
     ig.advance(10.0);
     return ig.total_steps();
   };
@@ -112,8 +103,7 @@ TEST(Rk23, RespectsMaxStep) {
   Rk23Options opt;
   opt.max_step = 0.125;
   Rk23Integrator ig(sys, opt);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
+  ig.reset(0.0, 1.0);
   const auto res = ig.advance(1.0);
   EXPECT_GE(res.steps_taken, 8u);
 }
@@ -122,24 +112,20 @@ TEST(Rk23, EventLocalisedAccurately) {
   // y = exp(-t) crosses 0.5 at t = ln 2.
   ExpDecay sys(1.0);
   Rk23Integrator ig(sys);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
-  EventSpec ev{[](double, std::span<const double> y) { return y[0] - 0.5; },
-               EventDirection::kFalling, 42};
+  ig.reset(0.0, 1.0);
+  const EventSpec ev{0.5, EventDirection::kFalling, 42};
   const auto res = ig.advance(5.0, std::span<const EventSpec>(&ev, 1));
   ASSERT_TRUE(res.event_fired);
   EXPECT_EQ(res.event_tag, 42);
   EXPECT_NEAR(res.t, std::numbers::ln2, 1e-5);
-  EXPECT_NEAR(ig.state()[0], 0.5, 1e-5);
+  EXPECT_NEAR(ig.state(), 0.5, 1e-5);
 }
 
 TEST(Rk23, RisingEventIgnoredOnFallingSignal) {
   ExpDecay sys(1.0);
   Rk23Integrator ig(sys);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
-  EventSpec ev{[](double, std::span<const double> y) { return y[0] - 0.5; },
-               EventDirection::kRising, 1};
+  ig.reset(0.0, 1.0);
+  const EventSpec ev{0.5, EventDirection::kRising, 1};
   const auto res = ig.advance(3.0, std::span<const EventSpec>(&ev, 1));
   EXPECT_FALSE(res.event_fired);
   EXPECT_DOUBLE_EQ(res.t, 3.0);
@@ -148,29 +134,24 @@ TEST(Rk23, RisingEventIgnoredOnFallingSignal) {
 TEST(Rk23, ContinuesAfterEvent) {
   ExpDecay sys(1.0);
   Rk23Integrator ig(sys);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
-  EventSpec ev{[](double, std::span<const double> y) { return y[0] - 0.5; },
-               EventDirection::kFalling, 1};
+  ig.reset(0.0, 1.0);
+  const EventSpec ev{0.5, EventDirection::kFalling, 1};
   auto res = ig.advance(5.0, std::span<const EventSpec>(&ev, 1));
   ASSERT_TRUE(res.event_fired);
   // Advance again; the same event function is already below zero, so no
   // new crossing fires and the run completes.
   res = ig.advance(5.0, std::span<const EventSpec>(&ev, 1));
   EXPECT_FALSE(res.event_fired);
-  EXPECT_NEAR(ig.state()[0], std::exp(-5.0), 1e-6);
+  EXPECT_NEAR(ig.state(), std::exp(-5.0), 1e-6);
 }
 
 TEST(Rk23, EarliestOfMultipleEventsWins) {
   ExpDecay sys(1.0);
   Rk23Integrator ig(sys);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
-  std::vector<EventSpec> evs{
-      {[](double, std::span<const double> y) { return y[0] - 0.3; },
-       EventDirection::kFalling, 1},
-      {[](double, std::span<const double> y) { return y[0] - 0.7; },
-       EventDirection::kFalling, 2},
+  ig.reset(0.0, 1.0);
+  const std::vector<EventSpec> evs{
+      {0.3, EventDirection::kFalling, 1},
+      {0.7, EventDirection::kFalling, 2},
   };
   const auto res = ig.advance(5.0, evs);
   ASSERT_TRUE(res.event_fired);
@@ -179,27 +160,17 @@ TEST(Rk23, EarliestOfMultipleEventsWins) {
 }
 
 TEST(Rk23, EarliestOfTwoEventsInOneStepWins) {
-  // y' = -1 is integrated exactly by RK23 (zero error estimate), so with a
-  // forced large first step BOTH thresholds are crossed inside a single
-  // accepted step. The later-listed event crosses first and must win the
-  // earliest-root selection.
-  class Ramp : public OdeSystem {
-   public:
-    std::size_t dimension() const override { return 1; }
-    void derivatives(double, std::span<const double>,
-                     std::span<double> dydt) const override {
-      dydt[0] = -1.0;
-    }
-  };
+  // Ramp is integrated exactly, so with a forced large first step BOTH
+  // thresholds are crossed inside a single accepted step. The later-listed
+  // event crosses first and must win the earliest-root selection.
   Ramp sys;
   Rk23Options opt;
   opt.initial_step = 5.0;
   Rk23Integrator ig(sys, opt);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
+  ig.reset(0.0, 1.0);
   std::vector<EventSpec> evs{
-      EventSpec::threshold(0.35, EventDirection::kFalling, 1),
-      EventSpec::threshold(0.65, EventDirection::kFalling, 2),  // earlier
+      EventSpec{0.35, EventDirection::kFalling, 1},
+      EventSpec{0.65, EventDirection::kFalling, 2},  // earlier
   };
   const auto res = ig.advance(5.0, evs);
   ASSERT_TRUE(res.event_fired);
@@ -208,45 +179,51 @@ TEST(Rk23, EarliestOfTwoEventsInOneStepWins) {
   EXPECT_NEAR(res.t, 0.35, 1e-5);  // y = 1 - t hits 0.65 at t = 0.35
 }
 
-TEST(Rk23, ThresholdSpecMatchesCallbackSpec) {
-  // The data-only threshold form and an equivalent callback must localise
-  // the identical event identically.
-  ExpDecay sys(1.0);
-  const double y0 = 1.0;
-  auto run = [&](const EventSpec& ev) {
-    Rk23Integrator ig(sys);
-    ig.reset(0.0, std::span<const double>(&y0, 1));
-    return ig.advance(5.0, std::span<const EventSpec>(&ev, 1));
+TEST(Rk23, ConstantCurrentNodeFiresEachThresholdOnceInOrder) {
+  // 0.1 A into 50 mF charges the node at 2 V/s from 1 V: it crosses 1.5,
+  // 2 and 2.5 V at t = 0.25, 0.5 and 0.75 s. The events are listed out of
+  // order; under either localisation each must fire once, in crossing
+  // order, leaving the state on its level.
+  const ConstantCurrentSource src(0.1);
+  const ConstantPowerLoad load(0.0);
+  const EhCircuit circuit(src, load, Capacitor{0.05, 0.0, 1e12});
+  const std::vector<EventSpec> evs{
+      {2.5, EventDirection::kRising, 3},
+      {1.5, EventDirection::kRising, 1},
+      {2.0, EventDirection::kAny, 2},
   };
-  const auto fast =
-      run(EventSpec::threshold(0.5, EventDirection::kFalling, 7));
-  const auto slow = run(EventSpec{
-      [](double, std::span<const double> y) { return y[0] - 0.5; },
-      EventDirection::kFalling, 7});
-  ASSERT_TRUE(fast.event_fired);
-  ASSERT_TRUE(slow.event_fired);
-  EXPECT_EQ(fast.event_tag, 7);
-  EXPECT_EQ(fast.t, slow.t);  // bit-identical localisation
-  EXPECT_EQ(fast.steps_taken, slow.steps_taken);
+  for (const auto el :
+       {EventLocalization::kBisection, EventLocalization::kDenseRoot}) {
+    Rk23Options opt;
+    opt.event_localization = el;
+    Rk23Integrator ig(circuit, opt);
+    ig.reset(0.0, 1.0);
+    std::vector<int> tags;
+    while (ig.time() < 2.0 && tags.size() <= evs.size()) {
+      const auto res = ig.advance(2.0, evs);
+      if (!res.event_fired) continue;
+      tags.push_back(res.event_tag);
+      EXPECT_NEAR(res.t, 0.25 * res.event_tag, 1e-6);
+      EXPECT_NEAR(ig.state(), 1.0 + 0.5 * res.event_tag, 1e-6);
+    }
+    EXPECT_EQ(tags, (std::vector<int>{1, 2, 3}));
+    EXPECT_NEAR(ig.state(), 5.0, 1e-6);
+  }
 }
 
-TEST(Rk23, TimeBasedEventOnStiffFlatState) {
-  ExpDecay sys(0.0);  // constant state
+TEST(Rk23, RefusesMoreEventsThanItsCapacity) {
+  ExpDecay sys(1.0);
   Rk23Integrator ig(sys);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
-  EventSpec ev{[](double t, std::span<const double>) { return t - 0.5; },
-               EventDirection::kRising, 9};
-  const auto res = ig.advance(2.0, std::span<const EventSpec>(&ev, 1));
-  ASSERT_TRUE(res.event_fired);
-  EXPECT_NEAR(res.t, 0.5, 1e-6);
+  ig.reset(0.0, 1.0);
+  const std::vector<EventSpec> evs(Rk23Integrator::kMaxEvents + 1,
+                                   EventSpec{0.5, EventDirection::kFalling, 1});
+  EXPECT_THROW(ig.advance(1.0, evs), ContractViolation);
 }
 
 TEST(Rk23, AdvancePastEndIsNoop) {
   ExpDecay sys(1.0);
   Rk23Integrator ig(sys);
-  const double y0 = 1.0;
-  ig.reset(1.0, std::span<const double>(&y0, 1));
+  ig.reset(1.0, 1.0);
   const auto res = ig.advance(0.5);
   EXPECT_EQ(res.steps_taken, 0u);
   EXPECT_DOUBLE_EQ(ig.time(), 1.0);
@@ -296,8 +273,7 @@ TEST(Rk23, PiControlTakesFewerStepsOnPaperCircuit) {
     opt.max_step = 0.01;
     opt.step_control = sc;
     Rk23Integrator ig(circuit, opt);
-    const double v0 = 5.0;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, 5.0);
     for (double t = 0.0; t < 10.0; t += 0.05) ig.advance(t + 0.05);
     return ig.total_steps() + ig.total_rejected();
   };
@@ -311,11 +287,10 @@ TEST(Rk23, PiStaysAccurateOnExpDecay) {
   opt.abs_tol = 1e-10;
   opt.step_control = StepControl::kPi;
   Rk23Integrator ig(sys, opt);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
+  ig.reset(0.0, 1.0);
   const auto res = ig.advance(2.0);
   EXPECT_FALSE(res.event_fired);
-  EXPECT_NEAR(ig.state()[0], std::exp(-4.0), 1e-7);
+  EXPECT_NEAR(ig.state(), std::exp(-4.0), 1e-7);
 }
 
 // ------------------------------------------------- dense-output roots
@@ -357,9 +332,9 @@ TEST(Rk23, DenseRootMatchesBisectionRoot) {
     opt.event_tol = 1e-9;
     opt.event_localization = el;
     Rk23Integrator ig(sys, opt);
-    ig.reset(0.0, std::span<const double>(&y0, 1));
+    ig.reset(0.0, y0);
     const auto ev =
-        EventSpec::threshold(0.5, EventDirection::kFalling, 3);
+        EventSpec{0.5, EventDirection::kFalling, 3};
     return ig.advance(5.0, std::span<const EventSpec>(&ev, 1));
   };
   const auto dense = run(EventLocalization::kDenseRoot);
@@ -375,24 +350,15 @@ TEST(Rk23, DenseRootEarliestOfTwoEventsInOneStepWins) {
   // The dense-root analogue of the ramp test: both thresholds cross in
   // one forced large step; the later-listed (earlier-crossing) event
   // must win under dense localisation too.
-  class Ramp : public OdeSystem {
-   public:
-    std::size_t dimension() const override { return 1; }
-    void derivatives(double, std::span<const double>,
-                     std::span<double> dydt) const override {
-      dydt[0] = -1.0;
-    }
-  };
   Ramp sys;
   Rk23Options opt;
   opt.initial_step = 5.0;
   opt.event_localization = EventLocalization::kDenseRoot;
   Rk23Integrator ig(sys, opt);
-  const double y0 = 1.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
+  ig.reset(0.0, 1.0);
   std::vector<EventSpec> evs{
-      EventSpec::threshold(0.35, EventDirection::kFalling, 1),
-      EventSpec::threshold(0.65, EventDirection::kFalling, 2),
+      EventSpec{0.35, EventDirection::kFalling, 1},
+      EventSpec{0.65, EventDirection::kFalling, 2},
   };
   const auto res = ig.advance(5.0, evs);
   ASSERT_TRUE(res.event_fired);
@@ -411,10 +377,8 @@ TEST(Rk23, DenseRootEventLeavesStateOnTheCrossedSide) {
   class Quadratic : public OdeSystem {
    public:
     explicit Quadratic(double sign) : sign_(sign) {}
-    std::size_t dimension() const override { return 1; }
-    void derivatives(double, std::span<const double> y,
-                     std::span<double> dydt) const override {
-      dydt[0] = sign_ * (0.7 * y[0] + 0.05 * y[0] * y[0]);
+    double derivative(double, double y) const override {
+      return sign_ * (0.7 * y + 0.05 * y * y);
     }
 
    private:
@@ -433,13 +397,12 @@ TEST(Rk23, DenseRootEventLeavesStateOnTheCrossedSide) {
     for (int k = 0; k < 500; ++k) {
       const double level = falling ? 0.9 - 0.0016 * k : 1.1 + 0.0016 * k;
       Rk23Integrator ig(sys, opt);
-      const double y0 = 1.0;
-      ig.reset(0.0, std::span<const double>(&y0, 1));
-      const auto ev = EventSpec::threshold(level, dir, 1);
+      ig.reset(0.0, 1.0);
+      const auto ev = EventSpec{level, dir, 1};
       if (!ig.advance(10.0, std::span<const EventSpec>(&ev, 1)).event_fired)
         continue;
       ++fired;
-      const double y = ig.state()[0];
+      const double y = ig.state();
       EXPECT_TRUE(falling ? y <= level : y >= level)
           << "level=" << level << " y=" << y;
     }
@@ -471,9 +434,9 @@ TEST(IntegratorParity, Rk23AndPiAgreeOnPaperCircuit) {
     opt.step_control = sc;
     opt.event_localization = el;
     Rk23Integrator ig(circuit, opt);
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, v0);
     ig.advance(10.0);
-    return ig.state()[0];
+    return ig.state();
   };
   const double ref = adaptive(StepControl::kClamped,
                               EventLocalization::kBisection, 1e-10, 0.01);
@@ -497,10 +460,9 @@ TEST_P(Rk23ToleranceSweep, ErrorTracksTolerance) {
   opt.rel_tol = rtol;
   opt.abs_tol = rtol * 1e-2;
   Rk23Integrator ig(sys, opt);
-  const double y0 = 2.0;
-  ig.reset(0.0, std::span<const double>(&y0, 1));
+  ig.reset(0.0, 2.0);
   ig.advance(1.0);
-  const double err = std::abs(ig.state()[0] - 2.0 * std::exp(-1.5));
+  const double err = std::abs(ig.state() - 2.0 * std::exp(-1.5));
   EXPECT_LT(err, rtol * 100.0 + 1e-12);
 }
 

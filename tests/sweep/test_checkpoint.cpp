@@ -731,6 +731,42 @@ TEST(JournalCompat, RowsBlockIsDroppedAndItsRowsReRun) {
   EXPECT_EQ(csv_of(report.rows), csv_of(full));
 }
 
+TEST(JournalCompat, OutOfRangeRowIndexIsDroppedAndTheMissingRowReRuns) {
+  // A journal missing row 3 that carries an unchecksummed (legacy-format)
+  // copy of row 5 under index 99 still counts as many rows as the sweep
+  // has scenarios. The stray row is dropped with a note naming its line,
+  // so the count falls short and a resume re-runs scenario 3.
+  const auto specs = small_sweep().expand();
+  const auto full = uninterrupted_rows(specs);
+  TempFile file("pns-compat-out-of-range");
+  runner_with(1).resume(specs, file.path(), "small");
+  auto lines = file_lines(file.path());
+  ASSERT_EQ(lines.size(), specs.size() + 1);
+  std::string stray = unframed(lines[6]);
+  const std::size_t at = stray.find("\"i\":5,");
+  ASSERT_NE(at, std::string::npos) << stray;
+  stray.replace(at, 6, "\"i\":99,");
+  lines.erase(lines.begin() + 4);  // row 3
+  lines.push_back(stray);
+  write_lines(file.path(), lines);
+
+  const JournalContents contents = read_journal(file.path());
+  EXPECT_EQ(contents.rows.size(), specs.size() - 1);
+  EXPECT_EQ(contents.rows.count(3), 0u);
+  EXPECT_EQ(contents.rows.count(99), 0u);
+  EXPECT_EQ(contents.dropped_lines, 1u);
+  ASSERT_EQ(contents.notes.size(), 1u);
+  EXPECT_EQ(contents.notes[0],
+            file.path() + ":7: row index 99 outside the sweep's 6 "
+                          "scenarios -- line dropped");
+
+  const auto report = runner_with(1).resume(specs, file.path(), "small");
+  EXPECT_EQ(report.notes, contents.notes);
+  EXPECT_EQ(report.reused, specs.size() - 1);
+  EXPECT_EQ(report.executed, 1u);
+  EXPECT_EQ(csv_of(report.rows), csv_of(full));
+}
+
 TEST(Journal, SingleThreadJournalIsItsCanonicalForm) {
   // A journal holds only what the sweep computed, so a 1-thread run (rows
   // appended in index order) writes exactly the canonical bytes.

@@ -4,11 +4,12 @@
 // damaged -- byte flips, truncation, a duplicated line, an inserted
 // garbage line, an edited header -- and read back. Every read must either
 // return a subset of the clean rows (bit for bit) with one note per bad
-// line, or throw JournalError with a message; never crash and never fold
-// a damaged row in. The ASan+UBSan and TSan jobs run this suite, so an
+// or out-of-range line, or throw JournalError with a message; never crash
+// and never fold a damaged row in. The ASan+UBSan and TSan jobs run this suite, so an
 // out-of-bounds read or undefined behaviour in the reader fails there.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -259,13 +260,25 @@ TEST(JournalMutation, EveryMutantReadsASubsetWithNotesOrThrows) {
       ASSERT_NE(it, clean.rows.end()) << "row " << i << " was never written";
       EXPECT_EQ(json_of(row), json_of(it->second)) << "row " << i;
     }
-    // No intact row line is lost.
+    // No intact row line inside the sweep is lost; each one outside it
+    // (a header edit can shrink `total`) is dropped with a note naming
+    // its line.
     const auto lines = split_lines(bytes);
-    for (const auto& line : lines) {
-      const auto it = clean_row_lines.find(line);
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      const auto it = clean_row_lines.find(lines[k]);
       if (it == clean_row_lines.end()) continue;
-      EXPECT_EQ(got.rows.count(it->second), 1u)
-          << "intact row " << it->second << " lost";
+      if (it->second < got.header.total) {
+        EXPECT_EQ(got.rows.count(it->second), 1u)
+            << "intact row " << it->second << " lost";
+        continue;
+      }
+      const std::string note = path + ":" + std::to_string(k + 1) +
+                               ": row index " + std::to_string(it->second) +
+                               " outside the sweep's " +
+                               std::to_string(got.header.total) +
+                               " scenarios -- line dropped";
+      EXPECT_EQ(std::count(got.notes.begin(), got.notes.end(), note), 1)
+          << note;
     }
     // One note per bad line, each naming its own line of this file.
     EXPECT_EQ(got.notes.size(), got.dropped_lines + got.quarantined_lines);
