@@ -12,8 +12,11 @@
 #   * the stdout of every bench_* and example_* binary, except the
 #     timing suite bench_micro_hotpaths.
 # Each differing or missing file, and each run that exits non-zero, is
-# named on stdout. Exit status: 0 when every run succeeds and every pair
-# is identical, 1 otherwise, 2 on a usage error.
+# named on stdout. For a differing CSV pair it also prints, per column
+# that changed, the largest relative deviation |a-b|/max(|a|,|b|) and the
+# label (first column) of the row where it occurs; a non-numeric column
+# that changed is counted instead. Exit status: 0 when every run succeeds
+# and every pair is identical, 1 otherwise, 2 on a usage error.
 #
 # Usage: scripts/byte_identity.sh PARENT_BUILD CHANGE_BUILD [OUT_DIR]
 #
@@ -98,6 +101,52 @@ produce() {
   done
 }
 
+# Explains how CSV $2 differs from CSV $1, one line per changed column:
+#   <column>: max rel dev <r> at <row label>
+# or, for a column whose cells are not both numbers,
+#   <column>: <n> text cells differ (first at <row label>)
+explain_csv() {
+  awk -F, '
+    function abs(x) { return x < 0 ? -x : x }
+    function num(x) {
+      return x ~ /^[-+]?([0-9]+[.]?[0-9]*|[.][0-9]+)([eE][-+]?[0-9]+)?$/
+    }
+    FNR == NR {
+      if (FNR == 1) { ncol = NF; for (c = 1; c <= NF; ++c) name[c] = $c }
+      else for (c = 1; c <= NF; ++c) cell[FNR, c] = $c
+      rows_a = FNR
+      next
+    }
+    FNR == 1 { next }
+    {
+      rows_b = FNR
+      for (c = 1; c <= NF; ++c) {
+        x = cell[FNR, c]; y = $c
+        if (x == y) continue
+        if (num(x) && num(y)) {
+          scale = abs(x) > abs(y) ? abs(x) : abs(y)
+          r = scale > 0 ? abs(x - y) / scale : 0
+          if (!(c in dev) || r > dev[c]) { dev[c] = r; at[c] = $1 }
+        } else if (!(c in text)) {
+          text[c] = 1; text_at[c] = $1
+        } else {
+          ++text[c]
+        }
+      }
+    }
+    END {
+      if (rows_a != rows_b)
+        printf "    rows: %d vs %d\n", rows_a - 1, rows_b - 1
+      for (c = 1; c <= ncol; ++c) {
+        if (c in dev)
+          printf "    %s: max rel dev %.3g at %s\n", name[c], dev[c], at[c]
+        if (c in text)
+          printf "    %s: %d text cells differ (first at %s)\n", name[c],
+                 text[c], text_at[c]
+      }
+    }' "$1" "$2"
+}
+
 for side in parent change; do
   if [[ $side == parent ]]; then bin=${builds[0]}; else bin=${builds[1]}; fi
   echo "running $bin"
@@ -140,6 +189,7 @@ for file in "${expected[@]}"; do
     status=1
   elif ! cmp -s "$a" "$b"; then
     echo "DIFFERS $file"
+    [[ $file == *.csv ]] && explain_csv "$a" "$b"
     status=1
   fi
 done

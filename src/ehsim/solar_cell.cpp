@@ -52,6 +52,10 @@ double SolarCell::current_from_photo(double v, double il) const {
 
 PvSolve SolarCell::solve(double v, double il, double i_seed) const {
   const Residual res{params_, v, il};
+  // |F''(I)| / 2 = i0*Rs^2/(2*vt^2) * e; the exp factor comes from eval.
+  const double half_f2_per_e =
+      0.5 * params_.i0 * params_.rs * params_.rs /
+      (params_.vt_eff * params_.vt_eff);
   double i = i_seed;
   double f = 0.0, df = -1.0, e = 0.0;
   std::uint32_t iters = 0;
@@ -61,10 +65,19 @@ PvSolve SolarCell::solve(double v, double il, double i_seed) const {
     double step = f / df;
     // Damp enormous steps caused by the exponential blowing up.
     const double limit = std::max(1.0, std::abs(i)) * 10.0 + 1.0;
-    if (std::abs(step) > limit) step = step > 0.0 ? limit : -limit;
+    const bool damped = std::abs(step) > limit;
+    if (damped) step = step > 0.0 ? limit : -limit;
     const double next = i - step;
-    const bool converged =
-        std::abs(next - i) < 1e-12 * (1.0 + std::abs(next));
+    const double scale = 1.0 + std::abs(next);
+    // Stop when this step was below 1e-12 relative, or when the next
+    // one would be: after an undamped step the Newton error is about
+    // |F''/(2F')|*step^2. F'' is taken at `i`, so the bound is trusted
+    // only when the step climbs the exponential by at most one vt
+    // (F'' grows by at most e along it, inside the 10x margin).
+    bool converged = std::abs(next - i) < 1e-12 * scale;
+    if (!converged && !damped &&
+        params_.rs * (next - i) <= params_.vt_eff)
+      converged = half_f2_per_e * e * step * step < 1e-13 * scale * -df;
     i = next;
     if (converged) break;
   }
@@ -72,7 +85,10 @@ PvSolve SolarCell::solve(double v, double il, double i_seed) const {
   // from the last iteration's (e, df). After 100 unconverged iterations
   // `i` is a best effort; residual tests bound the error.
   const double dfdv = -params_.i0 / params_.vt_eff * e - 1.0 / params_.rp;
-  return {i, iters, -dfdv / df, -1.0 / df};
+  // Second derivative along the diode voltage: I'' = -c/F' with
+  // c = d2F/dvd2 = -i0/vt^2 * e, so half of it is -c/(2F').
+  const double c = -params_.i0 / (params_.vt_eff * params_.vt_eff) * e;
+  return {i, iters, -dfdv / df, -1.0 / df, -0.5 * c / df};
 }
 
 double SolarCell::current(double v, double irradiance) const {

@@ -43,6 +43,8 @@ struct PvSolve {
   std::uint32_t iters;  ///< Newton iterations executed
   double di_dv;         ///< dI/dV at the root (A/V, negative)
   double di_dil;        ///< dI/dIl at the root (in (0, 1])
+  double half_d2i;      ///< half of d2I/dVd2 along the diode voltage
+                        ///< Vd = V + Rs*I (A/V^2, negative)
 };
 
 /// Lumped PV cell/array. Thread-compatible: const methods are re-entrant.
@@ -61,13 +63,20 @@ class SolarCell {
   double current_from_photo(double v, double il) const;
 
   /// The one Newton solve of eq. 4 for the terminal current at (v, il),
-  /// started from `i_seed`. Damped Newton stops once a step falls below
-  /// 1e-12 relative, from any seed, so the root agrees with every other
-  /// seed's to that tolerance (~1e-15 A on the paper's array); the bits
-  /// depend on the seed. A seed near the root converges in 1-3
-  /// iterations. The result also carries the root's slopes, taken from
-  /// the last iteration's dF/dI (no extra exp), so a caller can predict
-  /// the next root of a slowly moving operating point.
+  /// started from `i_seed`. Damped Newton stops when its step falls below
+  /// 1e-12 relative, or -- after an undamped step -- when the step the
+  /// next iteration would take, |F''/(2F')|*step^2 from the quadratic
+  /// convergence of Newton, is below 1e-13 relative (a 10x margin under
+  /// the 1e-12 contract). Either way the root agrees with every other
+  /// seed's to 1e-12 relative (~1e-13 A on the paper's array); the bits
+  /// depend on the seed. On the paper's array a seed within ~1e-6 A of
+  /// the root finishes in one iteration, i.e. one exp. The bound is
+  /// skipped after a damped step and after a step that climbs the
+  /// exponential by more than one vt (F'' is taken at the iterate, so it
+  /// would under-predict there). The result also carries the root's
+  /// first and second derivatives, taken from the last iteration's exp
+  /// and dF/dI (no extra exp), so a caller can predict the next root of
+  /// a slowly moving operating point to second order.
   PvSolve solve(double v, double il, double i_seed) const;
 
   /// Terminal current at voltage `v` under irradiance `g`.

@@ -56,19 +56,24 @@ double PvSource::evaluate(double v, double t) const {
 
   // Seed at the photo-current (a cold start) unless the operating point
   // moved only a little since the last solve; then predict the new root
-  // to first order from that solve's slopes.
+  // to second order from that solve's derivatives:
+  //   d1 = dI/dV*dV + dI/dIl*dIl,  seed = i + d1 + half_d2i*(dV + Rs*d1)^2
+  // (the curvature acts along the diode voltage V + Rs*I).
   double seed = il;
   if (solve_cache_.valid &&
       std::abs(v - solve_cache_.v) < kWarmStartDeltaV &&
       std::abs(il - solve_cache_.il) < kWarmStartDeltaIl) {
-    seed = solve_cache_.i + solve_cache_.di_dv * (v - solve_cache_.v) +
-           solve_cache_.di_dil * (il - solve_cache_.il);
+    const double dv = v - solve_cache_.v;
+    const double d1 = solve_cache_.di_dv * dv +
+                      solve_cache_.di_dil * (il - solve_cache_.il);
+    const double dvd = dv + cell_.params().rs * d1;
+    seed = solve_cache_.i + d1 + solve_cache_.half_d2i * dvd * dvd;
     ++stats_.warm_starts;
   }
   const PvSolve s = cell_.solve(v, il, seed);
   ++stats_.newton_solves;
   stats_.newton_iterations += s.iters;
-  solve_cache_ = {v, il, s.i, s.di_dv, s.di_dil, true};
+  solve_cache_ = {v, il, s.i, s.di_dv, s.di_dil, s.half_d2i, true};
   return s.i;
 }
 

@@ -68,7 +68,7 @@ class CurrentSource {
 ///
 /// Two evaluation modes:
 ///   * Mode::kExact (default) -- every current() is an exact Newton solve
-///     of eq. 4 (SolarCell::solve) to its 1e-12 relative stop, so it
+///     of eq. 4 (SolarCell::solve) to its 1e-12 relative contract, so it
 ///     agrees with SolarCell::current to solver tolerance. Runs are
 ///     deterministic: the same call sequence gives the same bits.
 ///   * Mode::kTabulated -- current() answers from a precomputed bilinear
@@ -77,14 +77,19 @@ class CurrentSource {
 ///     same exact solve.
 ///
 /// Each solve is seeded from the last one: when the operating point moved
-/// by less than kWarmStartDeltaV / kWarmStartDeltaIl, the seed is the last
-/// root plus its slopes times the move, i + dI/dV*dV + dI/dIl*dIl;
-/// otherwise it is the photo-current. A memo of the last converged solve
-/// short-circuits exact repeats of (v, il), which the co-simulation loop
-/// produces at segment boundaries (FSAL restarts, metric sampling).
+/// by less than kWarmStartDeltaV / kWarmStartDeltaIl, the seed is the
+/// second-order Taylor prediction of the implicit I(V, Il) from the last
+/// root,
+///   d1 = dI/dV*dV + dI/dIl*dIl,  seed = i + d1 + half_d2i*(dV + Rs*d1)^2
+/// (the curvature acts along the diode voltage V + Rs*I), which lands
+/// inside SolarCell::solve's quadratic-convergence stop, so a typical
+/// solve is one exp; otherwise the seed is the photo-current. A memo of
+/// the last converged solve short-circuits exact repeats of (v, il),
+/// which the co-simulation loop produces at segment boundaries (FSAL
+/// restarts, metric sampling).
 ///
 /// History: because the seed comes from the previous solve, a result
-/// depends on the source's call history at the ~1e-15 A level (the
+/// depends on the source's call history at the ~1e-13 A level (the
 /// solver's stop), not only on (v, t). Two fresh sources fed the same
 /// calls agree bit for bit; the sweep path builds one source per
 /// scenario, so its bytes do not depend on thread count or shard.
@@ -154,9 +159,11 @@ class PvSource : public CurrentSource {
   Mode mode_;
   std::shared_ptr<const PvTable> table_;
 
-  // Last converged Newton solve with its slopes (memo + predicted seed).
+  // Last converged Newton solve with its derivatives (memo + predicted
+  // seed).
   struct SolveCache {
     double v = 0.0, il = 0.0, i = 0.0, di_dv = 0.0, di_dil = 0.0;
+    double half_d2i = 0.0;
     bool valid = false;
   };
   mutable SolveCache solve_cache_;

@@ -368,7 +368,7 @@ std::string integrator_identity(const IntegratorSpec& integrator) {
 std::string pv_identity(ehsim::PvSource::Mode pv_mode) {
   return std::string("&pv=") +
          (pv_mode == ehsim::PvSource::Mode::kExact ? "exact" : "tabulated") +
-         "&pv_solve=2";
+         "&pv_solve=3";
 }
 
 std::string sweep_identity(const std::string& sweep_name, double minutes,

@@ -181,11 +181,14 @@ void write_canonical_journal(const std::string& path,
 std::string integrator_identity(const IntegratorSpec& integrator);
 
 /// The PV part of a journal identity: the PV mode plus the version of the
-/// PV solve that computed the rows, "&pv=<exact|tabulated>&pv_solve=2".
-/// Version 2 seeds every Newton solve from the last one (ehsim::PvSource);
-/// a header without the token holds rows from cold-start solves and fails
-/// the header match, in both PV modes. Shared by sweep_identity and the
-/// opt layer's journals.
+/// PV solve that computed the rows, "&pv=<exact|tabulated>&pv_solve=3".
+/// Version 2 seeded every Newton solve from the last one (ehsim::PvSource);
+/// version 3 also stops Newton on its quadratic-convergence bound and
+/// seeds it to second order (SolarCell::solve), which moves exact rows
+/// and the PvTable nodes behind tabulated ones. A header with another
+/// version, or without the token (rows from cold-start solves), fails the
+/// header match, in both PV modes. Shared by sweep_identity and the opt
+/// layer's journals.
 std::string pv_identity(ehsim::PvSource::Mode pv_mode);
 
 /// Canonical identity string of a sweep invocation, used as

@@ -16,8 +16,13 @@ namespace pns::trace {
 /// failure.
 bool save_trace_csv(const std::string& path, const pns::TimeSeries& series);
 
-/// Reads a two-column CSV (header optional) into a piecewise-linear trace.
-/// Throws std::runtime_error on malformed input or unreadable file.
+/// Reads a two-column "t,value" CSV (first-line header optional) into a
+/// piecewise-linear trace. Each cell must parse completely as a number
+/// (surrounding whitespace and a trailing '\r' allowed), both columns must
+/// be finite, and times must strictly increase in file order; columns
+/// past the second are ignored. Throws std::runtime_error
+/// "load_trace_csv: PATH:LINE: reason" at the first bad line, and on an
+/// unreadable file or fewer than two samples.
 pns::PiecewiseLinear load_trace_csv(const std::string& path);
 
 }  // namespace pns::trace

@@ -127,8 +127,8 @@ grep -q "integrator=rk23batch" err.txt || \
 
 # --- a journal written before PV solves were seeded (no "&pv_solve=" in
 # its header) is refused on resume: non-zero exit, no CSV
-grep -q "pv=exact&pv_solve=2" w.jsonl || fail "journal header lacks pv_solve"
-sed '1s/&pv_solve=2//; 1s/,"crc":"[0-9a-f]*"}$/}/' w.jsonl > cold.jsonl
+grep -q "pv=exact&pv_solve=3" w.jsonl || fail "journal header lacks pv_solve"
+sed '1s/&pv_solve=3//; 1s/,"crc":"[0-9a-f]*"}$/}/' w.jsonl > cold.jsonl
 grep -q "pv_solve" cold.jsonl && fail "pv_solve token not stripped"
 if "$BIN" quick --quiet --integrator rk23pi --resume --journal cold.jsonl \
   --csv cold_resumed.csv >/dev/null 2>err.txt; then
@@ -137,6 +137,20 @@ fi
 grep -q "refusing to mix sweeps" err.txt || \
   fail "pv_solve journal refusal: no mismatch diagnostic"
 [ -e cold_resumed.csv ] && fail "refused pre-pv_solve resume wrote its CSV"
+
+# --- a journal of the first-order-seeded solve ("&pv_solve=2") is
+# refused on resume the same way: its rows never mix with version 3 rows
+sed '1s/&pv_solve=3/\&pv_solve=2/; 1s/,"crc":"[0-9a-f]*"}$/}/' w.jsonl > v2.jsonl
+grep -q "pv=exact&pv_solve=2" v2.jsonl || fail "pv_solve=2 header not forged"
+if "$BIN" quick --quiet --integrator rk23pi --resume --journal v2.jsonl \
+  --csv v2_resumed.csv >/dev/null 2>err.txt; then
+  fail "pv_solve=2 journal resumed"
+fi
+grep -q "refusing to mix sweeps" err.txt || \
+  fail "pv_solve=2 journal refusal: no mismatch diagnostic"
+grep -q "pv_solve=2" err.txt || \
+  fail "pv_solve=2 journal refusal: pinned identity not named"
+[ -e v2_resumed.csv ] && fail "refused pv_solve=2 resume wrote its CSV"
 
 # --- removed commands and flags are refused without writing anything
 if "$BIN" worker --connect tcp:127.0.0.1:1 --csv worker.csv \

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace pns::ehsim {
 namespace {
@@ -131,6 +133,89 @@ TEST(SolarCell, ScaledAreaScalesCurrentsNotVoltages) {
 TEST(SolarCell, ScaledAreaRejectsNonPositive) {
   auto cell = paper_cell();
   EXPECT_THROW(cell.scaled_area(0.0), pns::ContractViolation);
+}
+
+// The root of eq. 4 polished independently of SolarCell::solve: bisection
+// on the sign of the residual (in long double) until the bracket holds
+// two adjacent doubles. The residual is strictly decreasing in I.
+double polished_root(const SolarCellParams& p, double v, double il) {
+  const auto residual = [&](double i) {
+    const long double vd = static_cast<long double>(v) + p.rs * i;
+    return il - p.i0 * (std::exp(vd / p.vt_eff) - 1.0L) - vd / p.rp - i;
+  };
+  double lo = -1e4;    // residual > 0
+  double hi = il + 1;  // residual < 0 for v >= 0
+  for (int k = 0; k < 4000 && std::nextafter(lo, hi) < hi; ++k) {
+    const double mid = lo + 0.5 * (hi - lo);
+    if (mid <= lo || mid >= hi) break;
+    (residual(mid) > 0.0L ? lo : hi) = mid;
+  }
+  return std::abs(residual(lo)) < std::abs(residual(hi)) ? lo : hi;
+}
+
+// The stop rule's contract: from any seed -- cold (the photo-current),
+// warm (within 0.1 A), near-root, or far below the root where F'' is
+// tiny -- the solve lands within 1e-12 relative of the root, including
+// beyond open circuit and in the dark. The two cells are the paper's
+// array and a series-resistance-free one, whose far-beyond-Voc solves
+// take damped steps (the quadratic bound must not fire after those).
+TEST(SolarCellSolve, EverySeedLandsWithinContractOfPolishedRoot) {
+  SolarCellParams no_rs = paper_cell().params();
+  no_rs.rs = 0.0;
+  const SolarCell cells[] = {paper_cell(), SolarCell(no_rs)};
+  Rng rng(2024);
+  int damped_cases = 0;
+  for (const SolarCell& cell : cells) {
+    for (int k = 0; k < 3000; ++k) {
+      const double v = rng.uniform(0.0, cell.params().rs > 0 ? 7.5 : 10.0);
+      const double g = k % 10 == 0 ? 0.0 : rng.uniform(0.0, 1200.0);
+      const double il = cell.photo_current(g);
+      const double root = polished_root(cell.params(), v, il);
+      double seed = il;
+      switch (k % 4) {
+        case 1: seed = root + rng.uniform(-0.1, 0.1); break;
+        case 2: seed = root + rng.uniform(-1e-9, 1e-9); break;
+        case 3: seed = root - rng.uniform(5.0, 300.0); break;
+        default: break;
+      }
+      const PvSolve s = cell.solve(v, il, seed);
+      ASSERT_LE(std::abs(s.i - root), 1e-12 * (1.0 + std::abs(s.i)))
+          << "rs=" << cell.params().rs << " v=" << v << " g=" << g
+          << " seed=" << seed << " iters=" << s.iters;
+      if (k % 4 == 2) {
+        EXPECT_EQ(s.iters, 1u) << "near-root seed, v=" << v << " g=" << g;
+      }
+      if (std::abs(root - il) > 11.0 * std::max(1.0, std::abs(il)))
+        ++damped_cases;
+    }
+  }
+  EXPECT_GT(damped_cases, 100);  // damping was exercised
+}
+
+// The returned derivatives predict a nearby root: the second-order term
+// along the diode voltage leaves a third-order error, far below the
+// first-order prediction's.
+TEST(SolarCellSolve, DerivativesPredictNearbyRootToSecondOrder) {
+  const auto cell = paper_cell();
+  const double rs = cell.params().rs;
+  for (const double v : {1.0, 4.0, 5.3, 6.0, 6.6}) {
+    for (const double g : {100.0, 600.0, 1000.0}) {
+      const double il = cell.photo_current(g);
+      const PvSolve s = cell.solve(v, il, il);
+      for (const double dv : {-0.02, 0.01}) {
+        const double dil = 0.3 * dv;
+        const double exact =
+            polished_root(cell.params(), v + dv, il + dil);
+        const double d1 = s.di_dv * dv + s.di_dil * dil;
+        const double dvd = dv + rs * d1;
+        const double first = s.i + d1;
+        const double second = first + s.half_d2i * dvd * dvd;
+        EXPECT_LE(std::abs(second - exact),
+                  0.05 * std::abs(first - exact) + 1e-13)
+            << "v=" << v << " g=" << g << " dv=" << dv;
+      }
+    }
+  }
 }
 
 class SolarIrradianceSweep : public ::testing::TestWithParam<double> {};

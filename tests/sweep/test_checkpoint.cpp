@@ -507,7 +507,7 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
       {ControlSpec::parse("gov:ondemand:period=0.05")},
       {SourceSpec::parse("flicker:period=30,depth=0.5")});
   EXPECT_EQ(original,
-            "quick?minutes=2&pv=exact&pv_solve=2"
+            "quick?minutes=2&pv=exact&pv_solve=3"
             "&control=gov:ondemand:period=0.05"
             "&source=flicker:period=30,depth=0.5&integrator=rk23pi");
   // A bare rk23 is the implicit integrator (the default when identities
@@ -515,16 +515,16 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
   // pinned.
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
                            IntegratorSpec::parse("rk23")),
-            "quick?minutes=2&pv=exact&pv_solve=2");
+            "quick?minutes=2&pv=exact&pv_solve=3");
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {}, IntegratorSpec{}),
-            "quick?minutes=2&pv=exact&pv_solve=2&integrator=rk23pi");
+            "quick?minutes=2&pv=exact&pv_solve=3&integrator=rk23pi");
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
                            IntegratorSpec::parse("rk23:rtol=1e-07")),
-            "quick?minutes=2&pv=exact&pv_solve=2"
+            "quick?minutes=2&pv=exact&pv_solve=3"
             "&integrator=rk23:rtol=1e-07");
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
                            IntegratorSpec::parse("rk23pi:rtol=0.001")),
-            "quick?minutes=2&pv=exact&pv_solve=2"
+            "quick?minutes=2&pv=exact&pv_solve=3"
             "&integrator=rk23pi:rtol=0.001");
 
   TempFile file("pns-identity-specs");
@@ -562,7 +562,7 @@ TEST(SweepRunnerResume, Rk23EraDefaultJournalResumesOnlyUnderRk23) {
   const auto rk23_specs = sw.expand();
   const std::string rk23_id =
       sweep_identity("small", 0.5, mode, {}, {}, sw.base.integrator);
-  EXPECT_EQ(rk23_id, "small?minutes=0.5&pv=exact&pv_solve=2");
+  EXPECT_EQ(rk23_id, "small?minutes=0.5&pv=exact&pv_solve=3");
   TempFile file("pns-rk23-era");
   const auto written = runner_with(1).resume(rk23_specs, file.path(), rk23_id);
 
@@ -596,35 +596,39 @@ TEST(SweepRunnerResume, RetiredBatchKindJournalIsRefused) {
 
   const std::string id =
       sweep_identity("small", 0.5, mode, {}, {}, sw.base.integrator);
-  EXPECT_EQ(id, "small?minutes=0.5&pv=exact&pv_solve=2&integrator=rk23pi");
+  EXPECT_EQ(id, "small?minutes=0.5&pv=exact&pv_solve=3&integrator=rk23pi");
   EXPECT_THROW(runner_with(1).resume(specs, file.path(), id), JournalError);
 }
 
 TEST(SweepRunnerResume, JournalWithoutPvSolveTokenIsRefused) {
   // Journals written before PV solves were seeded from the previous one
-  // carry no "&pv_solve=" token. Their rows must not mix with rows of
-  // the seeded solve: in either PV mode the header fails to match, with
-  // the usual diagnostic naming both identities.
+  // carry no "&pv_solve=" token; journals of the first-order-seeded solve
+  // carry "&pv_solve=2". Their rows must not mix with rows of the current
+  // solve: in either PV mode the header fails to match, with the usual
+  // diagnostic naming both identities.
   const auto sw = small_sweep();
   const auto specs = sw.expand();
   for (const auto mode :
        {ehsim::PvSource::Mode::kExact, ehsim::PvSource::Mode::kTabulated}) {
     const std::string id =
         sweep_identity("small", 0.5, mode, {}, {}, sw.base.integrator);
-    const std::string token = "&pv_solve=2";
+    const std::string token = "&pv_solve=3";
     const auto at = id.find(token);
     ASSERT_NE(at, std::string::npos) << id;
-    const std::string old_id = std::string(id).erase(at, token.size());
-    TempFile file("pns-pv-solve-v1");
-    JournalWriter::create(file.path(), {old_id, specs.size()});
-    try {
-      runner_with(1).resume(specs, file.path(), id);
-      FAIL() << "expected JournalError";
-    } catch (const JournalError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("refusing to mix sweeps"), std::string::npos);
-      EXPECT_NE(what.find("'" + old_id + "'"), std::string::npos) << what;
-      EXPECT_NE(what.find("'" + id + "'"), std::string::npos) << what;
+    for (const std::string old_token : {"", "&pv_solve=2"}) {
+      const std::string old_id =
+          std::string(id).replace(at, token.size(), old_token);
+      TempFile file("pns-pv-solve-old");
+      JournalWriter::create(file.path(), {old_id, specs.size()});
+      try {
+        runner_with(1).resume(specs, file.path(), id);
+        FAIL() << "expected JournalError for " << old_id;
+      } catch (const JournalError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("refusing to mix sweeps"), std::string::npos);
+        EXPECT_NE(what.find("'" + old_id + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + id + "'"), std::string::npos) << what;
+      }
     }
   }
 }

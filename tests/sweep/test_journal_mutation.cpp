@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -26,6 +25,8 @@
 #include "sweep/runner.hpp"
 #include "util/rng.hpp"
 
+#include "../support/text_file.hpp"
+
 namespace pns::sweep {
 namespace {
 
@@ -36,31 +37,10 @@ constexpr int kCases = 500;
 /// resumed, which must publish the clean run's bytes.
 constexpr int kResumeEvery = 10;
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
-}
-
-std::vector<std::string> split_lines(const std::string& bytes) {
-  std::vector<std::string> lines;
-  std::istringstream in(bytes);
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const auto& line : lines) out += line + '\n';
-  return out;
-}
+using pns::test_support::join_lines;
+using pns::test_support::read_file;
+using pns::test_support::split_lines;
+using pns::test_support::write_file;
 
 std::string csv_of(const std::vector<SummaryRow>& rows) {
   std::ostringstream os;

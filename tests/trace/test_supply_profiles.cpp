@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "trace/supply_profiles.hpp"
 #include "trace/trace_io.hpp"
@@ -126,6 +127,77 @@ TEST(TraceIo, TooFewSamplesThrows) {
     f << "t,v\n0,1\n";
   }
   EXPECT_THROW(load_trace_csv(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+/// Writes `bytes` to a temporary trace file and returns its path.
+std::string write_trace(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << bytes;
+  return path;
+}
+
+/// Loads `path`, expecting a runtime_error naming "PATH:LINE:" and
+/// `reason`, then removes the file.
+void expect_load_fault(const std::string& path, std::size_t line,
+                       const std::string& reason) {
+  try {
+    load_trace_csv(path);
+    ADD_FAILURE() << "loaded " << path;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("load_trace_csv: " + path + ":" +
+                        std::to_string(line) + ": "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(reason), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, PartlyNumericCellThrows) {
+  // strtod reads "10x" as 10; the whole cell must parse.
+  expect_load_fault(write_trace("pns_trace_10x.csv", "t,g\n0,100\n10x,200\n"),
+                    3, "time '10x' is not a number");
+  expect_load_fault(write_trace("pns_trace_v.csv", "0,100\n10,2e2.5\n"), 2,
+                    "value '2e2.5' is not a number");
+}
+
+TEST(TraceIo, NonFiniteValueThrowsAtItsLine) {
+  std::string csv = "t,g\n";
+  for (int k = 0; k < 29; ++k) csv += std::to_string(k) + ",500\n";
+  csv += "29,nan\n30,500\n";  // line 31
+  expect_load_fault(write_trace("pns_trace_nanv.csv", csv), 31,
+                    "value 'nan' is not finite");
+  expect_load_fault(write_trace("pns_trace_infv.csv", "0,1\n1,-inf\n"), 2,
+                    "value '-inf' is not finite");
+}
+
+TEST(TraceIo, NonFiniteTimeThrowsBeforeAnySort) {
+  expect_load_fault(write_trace("pns_trace_nant.csv", "0,1\nnan,2\n3,4\n"),
+                    2, "time 'nan' is not finite");
+  expect_load_fault(write_trace("pns_trace_inft.csv", "0,1\ninf,2\n"), 2,
+                    "time 'inf' is not finite");
+}
+
+TEST(TraceIo, DuplicateTimeThrowsAtItsLine) {
+  expect_load_fault(write_trace("pns_trace_dup.csv", "t,g\n0,1\n5,2\n5,3\n"),
+                    4, "time '5' does not exceed the previous time");
+}
+
+TEST(TraceIo, OutOfOrderTimesThrow) {
+  // Files used to be sorted on load; times must now increase in file order.
+  expect_load_fault(write_trace("pns_trace_ooo.csv", "0,1\n10,2\n5,3\n"), 3,
+                    "time '5' does not exceed the previous time");
+}
+
+TEST(TraceIo, AcceptsSurroundingWhitespaceAndCrlf) {
+  const std::string path =
+      write_trace("pns_trace_ws.csv", "t,g\r\n 0 , 1\r\n\t1,\t3 \r\n");
+  const auto loaded = load_trace_csv(path);
+  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_DOUBLE_EQ(loaded(0.5), 2.0);
   std::remove(path.c_str());
 }
 
